@@ -60,11 +60,17 @@ def is_good_set(g: Graph, X: int, eps: Fraction) -> bool:
 
 
 def good_set_violation(g: Graph, X: int, eps: Fraction) -> int | None:
-    """First parameter b whose neighborhood in X lands in the middle band."""
+    """First parameter b whose neighborhood in X lands in the middle band.
+
+    A singleton X is good at every eps > 0 and is not scanned: a count of 0
+    is below eps * 1 and a count of 1 is above (1 - eps) * 1.
+    """
     _require_nonempty(X, "X")
     _check_eps(eps)
     g._check_set(X)
     size = X.bit_count()
+    if size == 1:
+        return None
     for b in range(g.n):
         count = (g.adj[b] & X).bit_count()
         if not (_below(count, size, eps) or _above(count, size, eps)):

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from . import config
 from .errors import CapacityError, InputError, PreconditionError
 from .graphs import Graph, bits, mask_of, vertex_list
@@ -61,8 +63,18 @@ class ErrorFunction:
         return self.table[min(m, len(self.table) - 1)]
 
     def is_decreasing(self, upto: int) -> bool:
-        """Weak monotonicity on 0..upto."""
-        return all(self(i) >= self(i + 1) for i in range(upto))
+        """Weak monotonicity on 0..upto: sigma(i) >= sigma(i+1) for i < upto.
+
+        Decided in closed form. `__post_init__` pins c to (0,1), so const(c)
+        is constant and inverse(c), inverse_square(c) divide a fixed positive
+        c by denominators that grow with m: all three decrease everywhere. A
+        table is constant from its last entry on, so only adjacent entries
+        with i < min(upto, len(table) - 1) can rise.
+        """
+        if self.kind != "table":
+            return True
+        last = min(upto, len(self.table) - 1)
+        return all(self.table[i] >= self.table[i + 1] for i in range(last))
 
     def running_minimum(self, upto: int) -> "ErrorFunction":
         """Pointwise running minimum on 0..upto, as a table with constant tail."""
@@ -457,10 +469,12 @@ def equipartition_refine(
         new_exceptional |= mask_of(verts[t * chunk :])
 
     n_parts = len(chunks)
-    assert n_parts <= N, "part count bound violated"
-    assert new_exceptional.bit_count() * eps.denominator <= eps.numerator * g.n, (
-        "exceptional bound violated"
-    )
+    # at most |V| / chunk <= 2m/eps <= N chunks
+    if n_parts > N:
+        raise AssertionError("part count bound violated")
+    # remainders add under eps|V|/2, so only an unchecked heavy X0 gets here
+    if new_exceptional.bit_count() * eps.denominator > eps.numerator * g.n:
+        raise PreconditionError("exceptional block exceeds eps |V| after refinement")
     params = {
         "epsilon": eps,
         "sigma": sigma.describe(),
@@ -476,6 +490,35 @@ def equipartition_refine(
 
 # ---------------------------------------------------------------------------
 # Regularity verification
+
+
+_PAIR_KINDS = np.array(("low", "high", "fail"), dtype=object)
+
+
+def _pair_codes(g: Graph, parts: tuple[int, ...], sizes: list[int], gamma: Fraction):
+    """Yield, part by part, the codes (0 low, 1 high, 2 fail) of row i of
+    the ordered pair matrix, as an int array over the parts."""
+    if not parts:
+        return
+    p, q = gamma.numerator, gamma.denominator
+    distinct, size_index = np.unique(sizes, return_inverse=True)
+    xs = distinct.tolist()
+    low_at = np.array([[-(-p * x * y // q) for y in xs] for x in xs], dtype=np.int64)
+    high_at = np.array([[(q - p) * x * y // q for y in xs] for x in xs], dtype=np.int64)
+    order = np.fromiter(
+        (v for part in parts for v in bits(part)), dtype=np.intp, count=sum(sizes)
+    )
+    starts = np.cumsum([0] + sizes[:-1])
+    nbytes = (g.n + 7) // 8
+    for i, Xi in enumerate(parts):
+        seen = np.zeros(g.n, dtype=np.int64)
+        for a in bits(Xi):
+            row = np.frombuffer(g.adj[a].to_bytes(nbytes, "little"), np.uint8)
+            seen += np.unpackbits(row, count=g.n, bitorder="little")
+        counts = np.add.reduceat(seen[order], starts)
+        low = counts < low_at[size_index[i]][size_index]
+        high = counts > high_at[size_index[i]][size_index]
+        yield np.where(low, 0, np.where(high, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -498,7 +541,17 @@ def verify_regularity(
     equal part sizes, exceptional mass at most eps, and low/high density for
     every ordered pair of parts, the diagonal included. The verdict gates on
     all of them; diagonal and off-diagonal failures are reported separately
-    so either convention can be audited."""
+    so either convention can be audited.
+
+    The pair counts e(Xi, Yj) come one row i at a time: the adjacency rows
+    of Xi's members are summed into one integer vector over V, which is then
+    reduced part by part. With d = |Xi||Yj| and gamma = p/q, an integer
+    count c satisfies c < gamma d iff c < ceil(p d / q) (low) and
+    c > (1 - gamma) d iff c > floor((q - p) d / q) (high); low wins when
+    both hold. The thresholds are computed exactly in Python ints once per
+    pair of distinct part sizes and never exceed d <= n^2, so the int64
+    comparisons are exact. Memory stays O(n) per row.
+    """
     if partition.n != g.n:
         raise InputError("partition and graph disagree on the vertex count")
     n_parts = partition.m
@@ -511,21 +564,13 @@ def verify_regularity(
     matrix: list[tuple[str, ...]] = []
     diag_fail: list[int] = []
     off_fail: list[tuple[int, int]] = []
-    for i, Xi in enumerate(partition.parts):
-        row: list[str] = []
-        for j, Yj in enumerate(partition.parts):
-            num, den = g.density_pair(Xi, Yj)
-            if num * gamma.denominator < gamma.numerator * den:
-                row.append("low")
-            elif num * gamma.denominator > (gamma.denominator - gamma.numerator) * den:
-                row.append("high")
+    for i, codes in enumerate(_pair_codes(g, partition.parts, sizes, gamma)):
+        matrix.append(tuple(_PAIR_KINDS[codes].tolist()))
+        for j in np.flatnonzero(codes == 2).tolist():
+            if i == j:
+                diag_fail.append(i)
             else:
-                row.append("fail")
-                if i == j:
-                    diag_fail.append(i)
-                else:
-                    off_fail.append((i, j))
-        matrix.append(tuple(row))
+                off_fail.append((i, j))
 
     passed = size_check and exceptional_ok and not diag_fail and not off_fail
     return RegularityReport(
@@ -577,7 +622,6 @@ def regularity_pipeline(g: Graph, eps: Fraction, sigma: ErrorFunction) -> Pipeli
     while True:
         tau, _ = goodness_scale(eps, mono_sigma, max(len(parts), 1))
         bad = [i for i, part in enumerate(parts) if not is_good_set(g, part, tau)]
-        bad = [i for i in bad if parts[i].bit_count() > 1]
         if not bad:
             break
         split_log.extend(bad)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import strategies as st
 
 from stablereg.errors import CapacityError, InputError, PreconditionError
 from stablereg.graphs import (
+    Graph,
     clique_union,
     empty_graph,
+    from_edges,
     half_graph,
     mask_of,
     matching_graph,
@@ -17,6 +20,7 @@ from stablereg.pairs import is_good_set
 from stablereg.partitions import (
     ErrorFunction,
     Partition,
+    RegularityReport,
     check_refine_precondition,
     equipartition_refine,
     good_partition_search,
@@ -65,6 +69,32 @@ def test_error_function_monotonicity_tools():
     assert [mono(i) for i in range(4)] == [F(1, 4), F(1, 4), F(1, 8), F(1, 8)]
     assert mono.is_decreasing(6)
     assert ErrorFunction.parse("inverse(1/2)").is_decreasing(50)
+
+
+def _decreasing_pointwise(f, upto):
+    return all(f(i) >= f(i + 1) for i in range(upto))
+
+
+def test_is_decreasing_matches_pointwise_definition():
+    values = [F(1, 2), F(1, 3), F(1, 4), F(2, 3)]
+    forms = [ErrorFunction(kind, F(1, 3)) for kind in ("const", "inverse", "inverse_square")]
+    forms += [ErrorFunction(kind, F(99, 100)) for kind in ("const", "inverse", "inverse_square")]
+    rng = random.Random(20260810)
+    for length in range(1, 7):
+        # random tables over a small pool, plus constant ones: equal, rising
+        # and falling neighbours all occur
+        for _ in range(40):
+            forms.append(ErrorFunction("table", table=tuple(rng.choices(values, k=length))))
+        forms.append(ErrorFunction("table", table=(F(1, 2),) * length))
+    rising = falling = 0
+    for f in forms:
+        length = len(f.table) if f.kind == "table" else 3
+        for upto in range(length + 4):
+            expected = _decreasing_pointwise(f, upto)
+            assert f.is_decreasing(upto) == expected, (f.describe(), upto)
+            rising += not expected
+            falling += expected
+    assert rising and falling
 
 
 def test_parse_fraction():
@@ -270,6 +300,17 @@ def test_refine_respects_exceptional_budget():
     assert refined.exceptional.bit_count() <= F(1, 4) * g.n
 
 
+def test_refine_unchecked_heavy_exceptional_block_raises():
+    # 12 of 20 vertices exceptional at eps = 1/2: only check=False reaches the
+    # exceptional bound, and it must hold under python -O as well
+    g = empty_graph(20)
+    base = Partition(20, mask_of(range(12)), (mask_of(range(12, 20)),))
+    with pytest.raises(PreconditionError):
+        equipartition_refine(g, base, F(1, 2), ErrorFunction.parse("1/4"), check=False)
+    with pytest.raises(PreconditionError):
+        equipartition_refine(g, base, F(1, 2), ErrorFunction.parse("1/4"))
+
+
 def test_refine_monotonizes_sigma():
     g = empty_graph(12)
     base = Partition(12, 0, (empty_graph(12).full_mask,))
@@ -307,6 +348,126 @@ def test_verify_exceptional_budget():
     assert not report.exceptional_ok and not report.passed
     report = verify_regularity(g, p, F(1, 2), ErrorFunction.parse("1/4"))
     assert report.passed
+
+
+def _verify_by_hand(g, partition, eps, sigma):
+    # one density_pair call and one exact rational comparison per ordered pair
+    gamma = sigma(partition.m)
+    matrix, diag, off = [], [], []
+    for i, Xi in enumerate(partition.parts):
+        row = []
+        for j, Yj in enumerate(partition.parts):
+            num, den = g.density_pair(Xi, Yj)
+            if F(num, den) < gamma:
+                row.append("low")
+            elif F(num, den) > 1 - gamma:
+                row.append("high")
+            else:
+                row.append("fail")
+                if i == j:
+                    diag.append(i)
+                else:
+                    off.append((i, j))
+        matrix.append(tuple(row))
+    size_check = len({p.bit_count() for p in partition.parts}) <= 1
+    exc = partition.exceptional_fraction()
+    return RegularityReport(
+        n=partition.m,
+        size_check=size_check,
+        exceptional_fraction=exc,
+        exceptional_ok=exc <= eps,
+        sigma_value=gamma,
+        pair_matrix=tuple(matrix),
+        diagonal_failures=tuple(diag),
+        off_diagonal_failures=tuple(off),
+        passed=size_check and exc <= eps and not diag and not off,
+    )
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def _random_partition(rng, n, shape):
+    verts = list(range(n))
+    rng.shuffle(verts)
+    if shape == "singletons":  # m = n
+        return Partition(n, 0, tuple(1 << v for v in verts))
+    exc_size = rng.randint(0, n) if shape != "one" else rng.randint(0, n - 1)
+    rest = verts[exc_size:]
+    if shape == "one":  # m = 1, possibly beside an exceptional block
+        return Partition(n, mask_of(verts[:exc_size]), (mask_of(rest),))
+    blocks = []
+    while rest:
+        take = rng.randint(1, 3) if shape == "small" else rng.randint(1, len(rest))
+        blocks.append(mask_of(rest[:take]))
+        rest = rest[take:]
+    return Partition(n, mask_of(verts[:exc_size]), tuple(blocks))
+
+
+def test_verifier_matches_per_pair_oracle():
+    rng = random.Random(20260810)
+    sigmas = [
+        ErrorFunction.parse(spec)
+        for spec in (
+            "const(1/4)",
+            "const(1/2)",
+            "const(3/4)",
+            "inverse(1/2)",
+            "inverse_square(2/3)",
+            "table(1/3,1/2,1/5)",
+            "const(999999999999/1000000000000)",
+            "const(1/1000000000001)",
+            "const(333333333333/1000000000003)",
+        )
+    ]
+    shapes = ("mixed", "small", "one", "singletons")
+    on_boundary = unequal = with_exceptional = 0
+    for t in range(600):
+        n = rng.randint(1, 24)
+        g = _random_graph(rng, n)
+        p = _random_partition(rng, n, shapes[t % len(shapes)])
+        eps = rng.choice([F(1, 4), F(1, 2), F(3, 4)])
+        sigma = sigmas[t % len(sigmas)]
+        report = verify_regularity(g, p, eps, sigma)
+        assert report == _verify_by_hand(g, p, eps, sigma), (g, p, eps, sigma)
+        gamma = sigma(p.m)
+        for Xi in p.parts:
+            for Yj in p.parts:
+                num, den = g.density_pair(Xi, Yj)
+                on_boundary += F(num, den) in (gamma, 1 - gamma)
+        unequal += not report.size_check
+        with_exceptional += p.exceptional != 0
+    # the strict comparisons are exercised, not passed vacuously
+    assert on_boundary and unequal and with_exceptional
+
+
+def test_verifier_strict_on_boundary_counts():
+    # 2 x 2 blocks at gamma = 1/4, so d = 4: one edge pair sits exactly on
+    # gamma * d and three sit exactly on (1 - gamma) * d; both fail
+    sigma = ErrorFunction.parse("1/4")
+    p = Partition(4, 0, (mask_of([0, 2]), mask_of([1, 3])))
+    for edges, kind in (
+        ([], "low"),
+        ([(0, 1)], "fail"),
+        ([(0, 1), (0, 3), (2, 1)], "fail"),
+        ([(0, 1), (0, 3), (2, 1), (2, 3)], "high"),
+    ):
+        g = from_edges(4, edges)
+        report = verify_regularity(g, p, F(1, 2), sigma)
+        assert report.pair_matrix == (("low", kind), (kind, "low"))
+        assert report.off_diagonal_failures == (((0, 1), (1, 0)) if kind == "fail" else ())
+        assert report == _verify_by_hand(g, p, F(1, 2), sigma)
+    everything = Partition(4, mask_of(range(4)), ())
+    report = verify_regularity(from_edges(4, []), everything, F(1, 2), sigma)
+    assert report.pair_matrix == () and not report.exceptional_ok
 
 
 def test_verify_graph_mismatch():
@@ -370,27 +531,6 @@ def test_report_survives_partition_round_trip():
     assert report.pair_matrix == result.report.pair_matrix
 
 
-def _verify_by_hand(g, partition, eps, sigma):
-    # straight-loop recomputation of every verifier clause
-    n_parts = len(partition.parts)
-    gamma = sigma(n_parts)
-    sizes = {p.bit_count() for p in partition.parts}
-    size_ok = len(sizes) <= 1
-    exc_ok = F(partition.exceptional.bit_count(), partition.n) <= eps
-    pair_ok = True
-    for Xi in partition.parts:
-        for Yj in partition.parts:
-            edges = 0
-            for a in vertex_list(Xi):
-                for b in vertex_list(Yj):
-                    if (g.adj[a] >> b) & 1:
-                        edges += 1
-            d = F(edges, Xi.bit_count() * Yj.bit_count())
-            if not (d < gamma or d > 1 - gamma):
-                pair_ok = False
-    return size_ok and exc_ok and pair_ok
-
-
 @given(graphs(max_n=7), st.data())
 @settings(max_examples=100, deadline=None)
 def test_verifier_matches_hand_recomputation(g, data):
@@ -411,7 +551,7 @@ def test_verifier_matches_hand_recomputation(g, data):
     eps = data.draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]))
     sigma = ErrorFunction.parse(data.draw(st.sampled_from(["const(1/4)", "inverse(1/2)"])))
     report = verify_regularity(g, p, eps, sigma)
-    assert report.passed == _verify_by_hand(g, p, eps, sigma)
+    assert report == _verify_by_hand(g, p, eps, sigma)
 
 
 def test_searched_base_composition():
