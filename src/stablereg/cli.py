@@ -48,7 +48,7 @@ from .partitions import (
     partition_to_json,
     verify_regularity,
 )
-from .stability import find_ladder, ladder_index, relation_ladder_index
+from .stability import find_relation_ladder, graph_relation, relation_ladder_index
 from .typeclasses import (
     DefinabilityWitnesses,
     definability_witnesses,
@@ -97,10 +97,11 @@ def _ladder_json(lad) -> dict | None:
 
 def _cmd_stability(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    rel = graph_relation(g)
     cap = args.cap if args.cap is not None else g.n
-    idx = ladder_index(g, cap, distinct=args.distinct_witnesses)
+    idx = relation_ladder_index(rel, cap, distinct=args.distinct_witnesses)
     k = args.k if args.k is not None else max(idx, 1)
-    witness = find_ladder(g, k, distinct=args.distinct_witnesses)
+    witness = find_relation_ladder(rel, k, distinct=args.distinct_witnesses)
     _emit(
         {
             "ladder_index": idx,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import InputError
+
 # Largest n for which is_excellent may enumerate all 2^n - 1 candidate sets.
 EXCELLENT_EXHAUSTIVE_BOUND = 14
 # Largest n for which exact good-partition search may enumerate set partitions.
@@ -26,7 +28,11 @@ _DEFAULTS = {
 
 def capacity_bound(kind: str) -> int:
     """Configured bound for `kind` in {excellent, partition, group}."""
-    env = os.environ.get(_ENV_NAMES[kind])
-    if env is not None:
+    name = _ENV_NAMES[kind]
+    env = os.environ.get(name)
+    if env is None:
+        return _DEFAULTS[kind]
+    try:
         return int(env)
-    return _DEFAULTS[kind]
+    except ValueError as exc:
+        raise InputError(f"{name} must be an integer, got {env!r}") from exc

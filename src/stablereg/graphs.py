@@ -315,22 +315,17 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError("vertex count must be positive")
     if count != len(lines) - 1:
         raise InputError(f"header announces {count} edges, found {len(lines) - 1}")
-    rows = [0] * n
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"bad edge line: {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InputError(f"bad edge line: {line!r}") from exc
-        if u == v:
-            raise InputError(f"self-loop {u} {u} rejected")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge {u} {v} out of range for n={n}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return from_edges(n, map(_edge, lines[1:]))
+
+
+def _edge(line: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise InputError(f"bad edge line: {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise InputError(f"bad edge line: {line!r}") from exc
 
 
 def to_edge_list(g: Graph) -> str:

@@ -9,6 +9,7 @@ no exceptional block.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,12 +18,14 @@ import numpy as np
 from . import config
 from .errors import CapacityError, InputError
 from .graphs import bits, mask_of
+from .pairs import cutoffs
 from .partitions import ErrorFunction
 from .stability import Relation
 
 
 class FiniteGroup:
-    """Group on elements 0..n-1 given by its Cayley table.
+    """Group on elements 0..n-1 given by its Cayley table, a sequence of n
+    rows of n Python ints.
 
     The axioms are verified on construction: exhaustively up to order 128,
     by seeded sampling above that.
@@ -31,13 +34,15 @@ class FiniteGroup:
     __slots__ = ("order", "table", "identity", "inverses", "name")
 
     def __init__(self, table: list[list[int]] | tuple[tuple[int, ...], ...], name: str = ""):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
-        n = len(rows)
+        n = len(table)
         if n == 0:
             raise InputError("group must be nonempty")
-        for row in rows:
-            if len(row) != n or any(not 0 <= x < n for x in row):
+        for row in table:
+            if not isinstance(row, Sequence) or len(row) != n or any(
+                type(x) is not int or not 0 <= x < n for x in row
+            ):
                 raise InputError("Cayley table must be n x n over 0..n-1")
+        rows = tuple(tuple(row) for row in table)
         self.order = n
         self.table = rows
         self.name = name
@@ -125,7 +130,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 def group_from_json(data: dict) -> FiniteGroup:
     try:
         order = int(data["order"])
-        table = data["table"]
+        table = list(data["table"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed group JSON: {exc}") from exc
     if len(table) != order:
@@ -278,13 +283,14 @@ def coset_report(
 ) -> CosetReport:
     gamma = sigma(subgroup.index)
     h_size = subgroup.order
+    lo, hi = cutoffs(h_size, gamma)
     rows = []
     ok = True
     for coset in left_cosets(g, subgroup.elements):
         inter = (coset & a_mask).bit_count()
-        if inter * gamma.denominator < gamma.numerator * h_size:
+        if inter < lo:
             verdict = "low"
-        elif inter * gamma.denominator > (gamma.denominator - gamma.numerator) * h_size:
+        elif inter > hi:
             verdict = "high"
         else:
             verdict = "fail"

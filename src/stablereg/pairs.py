@@ -2,8 +2,9 @@
 
 All predicates compare exact rationals with strict inequalities: a count
 sitting exactly on a threshold fails both the low and the high clause.
-Thresholds arrive as `Fraction`s; comparisons cross-multiply in integers so
-the hot loops never allocate rationals.
+Thresholds arrive as `Fraction`s; `cutoffs` turns one into a pair of integer
+bounds per set size, so the hot loops compare plain ints and never allocate
+rationals.
 """
 
 from __future__ import annotations
@@ -34,24 +35,48 @@ class SpecialWitness:
     side: Side
 
 
-def _require_nonempty(X: int, name: str) -> None:
+def cutoffs(size: int, eps: Fraction) -> tuple[int, int]:
+    """Integer bounds (lo, hi) such that, for every integer count c,
+    c is low (c < eps * size) iff c < lo and high (c > (1 - eps) * size)
+    iff c > hi.
+
+    With eps = p/q: c < p size / q iff c < ceil(p size / q), and
+    c > (q - p) size / q iff c > floor((q - p) size / q). Both bands hold at
+    once when eps > 1/2; callers that need one verdict let low win.
+    """
+    p, q = eps.numerator, eps.denominator
+    return -(-p * size // q), (q - p) * size // q
+
+
+def lopsided(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[int, int]:
+    """(low, high): the members a of X with |E(a, Y)| < eps|Y|, and those
+    with |E(a, Y)| > (1 - eps)|Y|. Inputs are not validated."""
+    lo, hi = cutoffs(Y.bit_count(), eps)
+    low = high = 0
+    for a in bits(X):
+        c = (g.adj[a] & Y).bit_count()
+        if c < lo:
+            low |= 1 << a
+        if c > hi:
+            high |= 1 << a
+    return low, high
+
+
+def _check_eps(*thresholds: Fraction) -> None:
+    for t in thresholds:
+        if t <= 0:
+            raise InputError("threshold must be positive")
+
+
+def _check_pair(g: Graph, X: int, Y: int, *thresholds: Fraction) -> None:
+    """Both sides nonempty and within V, every threshold positive."""
     if X == 0:
-        raise InputError(f"{name} must be nonempty")
-
-
-def _below(count: int, size: int, eps: Fraction) -> bool:
-    # count < eps * size, exactly
-    return count * eps.denominator < eps.numerator * size
-
-
-def _above(count: int, size: int, eps: Fraction) -> bool:
-    # count > (1 - eps) * size
-    return count * eps.denominator > (eps.denominator - eps.numerator) * size
-
-
-def _check_eps(eps: Fraction) -> None:
-    if eps <= 0:
-        raise InputError("threshold must be positive")
+        raise InputError("X must be nonempty")
+    if Y == 0:
+        raise InputError("Y must be nonempty")
+    _check_eps(*thresholds)
+    g._check_set(X)
+    g._check_set(Y)
 
 
 def is_good_set(g: Graph, X: int, eps: Fraction) -> bool:
@@ -63,17 +88,17 @@ def good_set_violation(g: Graph, X: int, eps: Fraction) -> int | None:
     """First parameter b whose neighborhood in X lands in the middle band.
 
     A singleton X is good at every eps > 0 and is not scanned: a count of 0
-    is below eps * 1 and a count of 1 is above (1 - eps) * 1.
+    is below eps * 1 and a count of 1 is above (1 - eps) * 1. The scan stops
+    at the first violation, which is why it does not build `lopsided` masks
+    over all of V.
     """
-    _require_nonempty(X, "X")
-    _check_eps(eps)
-    g._check_set(X)
+    _check_pair(g, X, X, eps)
     size = X.bit_count()
     if size == 1:
         return None
+    lo, hi = cutoffs(size, eps)
     for b in range(g.n):
-        count = (g.adj[b] & X).bit_count()
-        if not (_below(count, size, eps) or _above(count, size, eps)):
+        if lo <= (g.adj[b] & X).bit_count() <= hi:
             return b
     return None
 
@@ -83,28 +108,17 @@ def threshold_sets(
 ) -> tuple[int, int]:
     """(X0, Y1) with X0 = {a in X : |E(a,Y)| < delta|Y|} and
     Y1 = {b in Y : |E(X,b)| > (1-eps)|X|}."""
-    _require_nonempty(X, "X")
-    _require_nonempty(Y, "Y")
-    g._check_set(X)
-    g._check_set(Y)
-    nx, ny = X.bit_count(), Y.bit_count()
-    X0 = 0
-    for a in bits(X):
-        if _below((g.adj[a] & Y).bit_count(), ny, delta):
-            X0 |= 1 << a
-    Y1 = 0
-    for b in bits(Y):
-        if _above((g.adj[b] & X).bit_count(), nx, eps):
-            Y1 |= 1 << b
-    return X0, Y1
+    _check_pair(g, X, Y, delta, eps)
+    return lopsided(g, X, Y, delta)[0], lopsided(g, Y, X, eps)[1]
 
 
 def homogeneity(g: Graph, X: int, Y: int, eps: Fraction) -> PairVerdict:
     _check_eps(eps)
     num, den = g.density_pair(X, Y)
-    if num * eps.denominator < eps.numerator * den:
+    lo, hi = cutoffs(den, eps)
+    if num < lo:
         kind = "homogeneous-low"
-    elif num * eps.denominator > (eps.denominator - eps.numerator) * den:
+    elif num > hi:
         kind = "homogeneous-high"
     else:
         kind = "not-homogeneous"
@@ -117,19 +131,10 @@ def is_homogeneous(g: Graph, X: int, Y: int, eps: Fraction) -> bool:
 
 def is_good_pair(g: Graph, X: int, Y: int, eps: Fraction) -> bool:
     """Both one-sided neighborhood fractions lopsided for every single vertex."""
-    _require_nonempty(X, "X")
-    _require_nonempty(Y, "Y")
-    _check_eps(eps)
-    g._check_set(X)
-    g._check_set(Y)
-    nx, ny = X.bit_count(), Y.bit_count()
-    for a in bits(X):
-        c = (g.adj[a] & Y).bit_count()
-        if not (_below(c, ny, eps) or _above(c, ny, eps)):
-            return False
-    for b in bits(Y):
-        c = (g.adj[b] & X).bit_count()
-        if not (_below(c, nx, eps) or _above(c, nx, eps)):
+    _check_pair(g, X, Y, eps)
+    for A, B in ((X, Y), (Y, X)):
+        low, high = lopsided(g, A, B, eps)
+        if low | high != A:
             return False
     return True
 
@@ -141,32 +146,14 @@ def special_witness(g: Graph, X: int, Y: int, eps: Fraction) -> SpecialWitness |
     maximal candidate sets witness if and only if any sets do. The low side
     is tried first.
     """
-    _require_nonempty(X, "X")
-    _require_nonempty(Y, "Y")
-    _check_eps(eps)
-    g._check_set(X)
-    g._check_set(Y)
-    nx, ny = X.bit_count(), Y.bit_count()
-
-    x_low = x_high = 0
-    for a in bits(X):
-        c = (g.adj[a] & Y).bit_count()
-        if _below(c, ny, eps):
-            x_low |= 1 << a
-        if _above(c, ny, eps):
-            x_high |= 1 << a
-    y_low = y_high = 0
-    for b in bits(Y):
-        c = (g.adj[b] & X).bit_count()
-        if _below(c, nx, eps):
-            y_low |= 1 << b
-        if _above(c, nx, eps):
-            y_high |= 1 << b
-
-    if _above(x_low.bit_count(), nx, eps) and _above(y_low.bit_count(), ny, eps):
-        return SpecialWitness(x_low, y_low, "low")
-    if _above(x_high.bit_count(), nx, eps) and _above(y_high.bit_count(), ny, eps):
-        return SpecialWitness(x_high, y_high, "high")
+    _check_pair(g, X, Y, eps)
+    x_hi = cutoffs(X.bit_count(), eps)[1]
+    y_hi = cutoffs(Y.bit_count(), eps)[1]
+    x_low, x_high = lopsided(g, X, Y, eps)
+    y_low, y_high = lopsided(g, Y, X, eps)
+    for Xp, Yp, side in ((x_low, y_low, "low"), (x_high, y_high, "high")):
+        if Xp.bit_count() > x_hi and Yp.bit_count() > y_hi:
+            return SpecialWitness(Xp, Yp, side)
     return None
 
 
@@ -183,28 +170,14 @@ def is_almost_good(
     (1-largeness) of each side); it defaults to eps. Maximal candidate sets
     decide, as for speciality.
     """
-    _require_nonempty(X, "X")
-    _require_nonempty(Y, "Y")
-    _check_eps(eps)
     if largeness is None:
         largeness = eps
-    _check_eps(largeness)
-    g._check_set(X)
-    g._check_set(Y)
-    nx, ny = X.bit_count(), Y.bit_count()
-    x_ok = 0
-    for a in bits(X):
-        c = (g.adj[a] & Y).bit_count()
-        if _below(c, ny, eps) or _above(c, ny, eps):
-            x_ok |= 1 << a
-    y_ok = 0
-    for b in bits(Y):
-        c = (g.adj[b] & X).bit_count()
-        if _below(c, nx, eps) or _above(c, nx, eps):
-            y_ok |= 1 << b
-    return _above(x_ok.bit_count(), nx, largeness) and _above(
-        y_ok.bit_count(), ny, largeness
-    )
+    _check_pair(g, X, Y, eps, largeness)
+    for A, B in ((X, Y), (Y, X)):
+        low, high = lopsided(g, A, B, eps)
+        if (low | high).bit_count() <= cutoffs(A.bit_count(), largeness)[1]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -228,10 +201,7 @@ def excellence_report(
     which is only allowed up to the configured capacity bound; with a list,
     the verdict is relative to the candidates supplied.
     """
-    _require_nonempty(X, "X")
-    _check_eps(eps)
-    _check_eps(delta)
-    g._check_set(X)
+    _check_pair(g, X, X, eps, delta)
 
     if candidates is None:
         bound = config.capacity_bound("excellent")
@@ -247,19 +217,13 @@ def excellence_report(
 
     if not is_good_set(g, X, eps):
         return ExcellenceReport(False, mode, None)
-    nx = X.bit_count()
+    lo, hi = cutoffs(X.bit_count(), eps)
     for Y in pool:
         if Y == 0:
             raise InputError("candidate sets must be nonempty")
         if not is_good_set(g, Y, delta):
             continue
-        ny = Y.bit_count()
-        X0 = 0
-        for a in bits(X):
-            if _below((g.adj[a] & Y).bit_count(), ny, delta):
-                X0 |= 1 << a
-        c = X0.bit_count()
-        if not (_below(c, nx, eps) or _above(c, nx, eps)):
+        if lo <= lopsided(g, X, Y, delta)[0].bit_count() <= hi:
             return ExcellenceReport(False, mode, Y)
     return ExcellenceReport(True, mode, None)
 

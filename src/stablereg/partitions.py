@@ -18,7 +18,7 @@ import numpy as np
 from . import config
 from .errors import CapacityError, InputError, PreconditionError
 from .graphs import Graph, bits, mask_of, vertex_list
-from .pairs import good_set_violation, is_good_set
+from .pairs import cutoffs, good_set_violation, is_good_set
 from .typeclasses import type_spectrum
 
 
@@ -232,7 +232,7 @@ def _search_exact(g: Graph, eps: Fraction, sigma: ErrorFunction) -> SearchResult
         )
     full = g.full_mask
     n = g.n
-    max_exc = _strict_bound(eps, n)  # largest |X0| with |X0| < eps*n
+    max_exc = cutoffs(n, eps)[0] - 1  # largest |X0| with |X0| < eps*n
 
     exceptional_choices: list[int] = [0]
     for size in range(1, max_exc + 1):
@@ -307,13 +307,6 @@ def _subsets_of_size(mask: int, size: int) -> Iterable[int]:
                 yield rest | (1 << verts[i])
 
     return rec(0, size)
-
-
-def _strict_bound(eps: Fraction, n: int) -> int:
-    """Largest integer s with s < eps * n."""
-    t = eps * n
-    floor = t.numerator // t.denominator
-    return floor - 1 if floor == t else floor
 
 
 def _search_greedy(g: Graph, eps: Fraction, sigma: ErrorFunction) -> SearchResult:
@@ -500,11 +493,10 @@ def _pair_codes(g: Graph, parts: tuple[int, ...], sizes: list[int], gamma: Fract
     the ordered pair matrix, as an int array over the parts."""
     if not parts:
         return
-    p, q = gamma.numerator, gamma.denominator
     distinct, size_index = np.unique(sizes, return_inverse=True)
     xs = distinct.tolist()
-    low_at = np.array([[-(-p * x * y // q) for y in xs] for x in xs], dtype=np.int64)
-    high_at = np.array([[(q - p) * x * y // q for y in xs] for x in xs], dtype=np.int64)
+    cuts = np.array([[cutoffs(x * y, gamma) for y in xs] for x in xs], dtype=np.int64)
+    low_at, high_at = cuts[..., 0], cuts[..., 1]
     order = np.fromiter(
         (v for part in parts for v in bits(part)), dtype=np.intp, count=sum(sizes)
     )
@@ -545,12 +537,12 @@ def verify_regularity(
 
     The pair counts e(Xi, Yj) come one row i at a time: the adjacency rows
     of Xi's members are summed into one integer vector over V, which is then
-    reduced part by part. With d = |Xi||Yj| and gamma = p/q, an integer
-    count c satisfies c < gamma d iff c < ceil(p d / q) (low) and
-    c > (1 - gamma) d iff c > floor((q - p) d / q) (high); low wins when
-    both hold. The thresholds are computed exactly in Python ints once per
-    pair of distinct part sizes and never exceed d <= n^2, so the int64
-    comparisons are exact. Memory stays O(n) per row.
+    reduced part by part. With d = |Xi||Yj|, a count is low below and high
+    above the integer bounds `pairs.cutoffs(d, gamma)`, ceil(gamma d) and
+    floor((1 - gamma) d); low wins when both hold. The bounds are computed
+    exactly in Python ints once per pair of distinct part sizes and never
+    exceed d <= n^2, so the int64 comparisons are exact. Memory stays O(n)
+    per row.
     """
     if partition.n != g.n:
         raise InputError("partition and graph disagree on the vertex count")

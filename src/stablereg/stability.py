@@ -159,7 +159,7 @@ def ladder_exists_naive(rel: Relation, k: int, distinct: bool = False) -> bool:
     return False
 
 
-def relation_ladder_index(rel: Relation, cap: int) -> int:
+def relation_ladder_index(rel: Relation, cap: int, distinct: bool = False) -> int:
     """Largest k <= cap admitting a ladder (0 if none).
 
     Ladders truncate, so existence is monotone decreasing in k and a linear
@@ -169,7 +169,7 @@ def relation_ladder_index(rel: Relation, cap: int) -> int:
         raise InputError("cap must be at least 1")
     index = 0
     for k in range(1, cap + 1):
-        if find_relation_ladder(rel, k) is None:
+        if find_relation_ladder(rel, k, distinct=distinct) is None:
             break
         index = k
     return index
@@ -180,15 +180,7 @@ def find_ladder(g: Graph, k: int, distinct: bool = False) -> Ladder | None:
 
 
 def ladder_index(g: Graph, cap: int, distinct: bool = False) -> int:
-    if cap < 1:
-        raise InputError("cap must be at least 1")
-    rel = graph_relation(g)
-    index = 0
-    for k in range(1, cap + 1):
-        if find_relation_ladder(rel, k, distinct=distinct) is None:
-            break
-        index = k
-    return index
+    return relation_ladder_index(graph_relation(g), cap, distinct=distinct)
 
 
 def is_k_stable(g: Graph, k: int) -> bool:

@@ -213,6 +213,31 @@ def test_capacity_env_override(capsys, monkeypatch):
     assert code == 3 and payload["error"]["kind"] == "capacity"
 
 
+def test_capacity_env_not_integer_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("STABLEREG_EXCELLENT_BOUND", "abc")
+    code, payload = run_json(
+        capsys, "pairs", "--family", "empty(4)", "--x", "0,1", "--y", "2,3",
+        "--epsilon", "1/4", "--excellent",
+    )
+    assert code == 2 and payload["error"]["kind"] == "input"
+    assert "STABLEREG_EXCELLENT_BOUND" in payload["error"]["reason"]
+
+
+def test_group_non_integer_cells_are_input_errors(capsys, tmp_path):
+    tables = {
+        "string_cell": [[0, 1], [1, "x"]],
+        "int_row": [[0, 1], 1],
+        "float_cell": [[0, 1], [1, 0.5]],
+    }
+    for name, table in tables.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"order": 2, "table": table}))
+        code, payload = run_json(
+            capsys, "group", "--input", str(path), "--set", "0", "--sigma", "const(1/4)"
+        )
+        assert code == 2 and payload["error"]["kind"] == "input", name
+
+
 def test_malformed_partition_json_is_input_error(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

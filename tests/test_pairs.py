@@ -14,8 +14,10 @@ from stablereg.graphs import (
     from_edges,
     half_graph,
     mask_of,
+    vertex_list,
 )
 from stablereg.pairs import (
+    cutoffs,
     excellence_report,
     good_set_violation,
     homogeneity,
@@ -96,6 +98,84 @@ def test_threshold_sets_examples():
     X0, Y1 = threshold_sets(hg4, a_side, b_side, F(1, 2), F(1, 2))
     assert X0 == mask_of([3])  # a_4 alone: |E(a_i, Y)| = 5 - i
     assert Y1 == mask_of([6, 7])  # b_3, b_4: |E(X, b_j)| = j
+
+
+def test_threshold_sets_rejects_nonpositive_threshold():
+    g = empty_graph(4)
+    X, Y = mask_of(range(2)), mask_of(range(2, 4))
+    for delta, eps in ((F(0), F(1, 2)), (F(1, 2), F(-1, 3))):
+        with pytest.raises(InputError):
+            threshold_sets(g, X, Y, delta, eps)
+
+
+# ---------------------------------------------------------------------------
+# the low/high rule against its Fraction definition
+
+
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda q: st.integers(min_value=1, max_value=3 * q // 2).map(lambda p: F(p, q))
+    ),
+)
+@settings(max_examples=300)
+def test_cutoffs_match_fraction_definition(size, eps):
+    lo, hi = cutoffs(size, eps)
+    for c in range(size + 1):
+        assert (c < lo) == (c < eps * size), (c, size, eps)
+        assert (c > hi) == (c > (1 - eps) * size), (c, size, eps)
+
+
+def _degree(g, a, Y):
+    return sum(1 for b in vertex_list(Y) if g.has_edge(a, b))
+
+
+def _oracle_sides(g, A, B, eps):
+    """Members of A seeing fewer than eps|B| of B, and more than (1-eps)|B|."""
+    size = len(vertex_list(B))
+    low = {a for a in vertex_list(A) if _degree(g, a, B) < eps * size}
+    high = {a for a in vertex_list(A) if _degree(g, a, B) > (1 - eps) * size}
+    return low, high
+
+
+def _oracle_special(g, X, Y, eps):
+    x_low, x_high = _oracle_sides(g, X, Y, eps)
+    y_low, y_high = _oracle_sides(g, Y, X, eps)
+    nx, ny = len(vertex_list(X)), len(vertex_list(Y))
+    for xs, ys, side in ((x_low, y_low, "low"), (x_high, y_high, "high")):
+        if len(xs) > (1 - eps) * nx and len(ys) > (1 - eps) * ny:
+            return mask_of(xs), mask_of(ys), side
+    return None
+
+
+@given(graphs(max_n=8), st.data())
+@settings(max_examples=300)
+def test_pair_predicates_match_fraction_oracle(g, data):
+    X = data.draw(st.integers(min_value=1, max_value=g.full_mask))
+    Y = data.draw(st.integers(min_value=1, max_value=g.full_mask))
+    fracs = [F(1, 4), F(1, 2), F(2, 3), F(1), F(3, 2)]
+    eps = data.draw(st.sampled_from(fracs))
+    delta = data.draw(st.sampled_from(fracs))
+    nx, ny = len(vertex_list(X)), len(vertex_list(Y))
+    x_low, x_high = _oracle_sides(g, X, Y, eps)
+    y_low, y_high = _oracle_sides(g, Y, X, eps)
+
+    X0 = _oracle_sides(g, X, Y, delta)[0]
+    Y1 = _oracle_sides(g, Y, X, eps)[1]
+    assert threshold_sets(g, X, Y, delta, eps) == (mask_of(X0), mask_of(Y1))
+
+    good_pair = len(x_low | x_high) == nx and len(y_low | y_high) == ny
+    assert is_good_pair(g, X, Y, eps) == good_pair
+
+    w = special_witness(g, X, Y, eps)
+    assert (None if w is None else (w.Xp, w.Yp, w.side)) == _oracle_special(g, X, Y, eps)
+
+    almost = len(x_low | x_high) > (1 - eps) * nx and len(y_low | y_high) > (1 - eps) * ny
+    assert is_almost_good(g, X, Y, eps) == almost
+
+    low, high = _oracle_sides(g, g.full_mask, X, eps)
+    mid = [b for b in range(g.n) if b not in low | high]
+    assert good_set_violation(g, X, eps) == (mid[0] if mid else None)
 
 
 # ---------------------------------------------------------------------------
