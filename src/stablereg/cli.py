@@ -48,7 +48,12 @@ from .partitions import (
     partition_to_json,
     verify_regularity,
 )
-from .stability import find_relation_ladder, graph_relation, relation_ladder_index
+from .stability import (
+    _index_and_ladder,
+    find_relation_ladder,
+    graph_relation,
+    relation_ladder_index,
+)
 from .typeclasses import (
     DefinabilityWitnesses,
     definability_witnesses,
@@ -99,9 +104,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     rel = graph_relation(g)
     cap = args.cap if args.cap is not None else g.n
-    idx = relation_ladder_index(rel, cap, distinct=args.distinct_witnesses)
-    k = args.k if args.k is not None else max(idx, 1)
-    witness = find_relation_ladder(rel, k, distinct=args.distinct_witnesses)
+    idx, witness = _index_and_ladder(rel, cap, args.distinct_witnesses)
+    if args.k is not None:
+        witness = find_relation_ladder(rel, args.k, distinct=args.distinct_witnesses)
     _emit(
         {
             "ladder_index": idx,

@@ -165,11 +165,18 @@ def partition_to_json(p: Partition) -> dict:
     }
 
 
+def _json_int(v) -> int:
+    # int() would truncate 0.7 to 0 and read True as 1
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 def partition_from_json(data: dict) -> Partition:
     try:
-        n = int(data["n"])
-        exceptional = mask_of(int(v) for v in data["exceptional"])
-        parts = tuple(mask_of(int(v) for v in block) for block in data["parts"])
+        n = _json_int(data["n"])
+        exceptional = mask_of(_json_int(v) for v in data["exceptional"])
+        parts = tuple(mask_of(_json_int(v) for v in block) for block in data["parts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed partition JSON: {exc}") from exc
     return Partition(n, exceptional, parts, dict(data.get("params", {})))

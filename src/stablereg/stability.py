@@ -165,14 +165,20 @@ def relation_ladder_index(rel: Relation, cap: int, distinct: bool = False) -> in
     Ladders truncate, so existence is monotone decreasing in k and a linear
     scan from below is exact.
     """
+    return _index_and_ladder(rel, cap, distinct)[0]
+
+
+def _index_and_ladder(rel: Relation, cap: int, distinct: bool) -> tuple[int, Ladder | None]:
+    """The ladder index and the ladder found at it (None for index 0)."""
     if cap < 1:
         raise InputError("cap must be at least 1")
-    index = 0
+    index, ladder = 0, None
     for k in range(1, cap + 1):
-        if find_relation_ladder(rel, k, distinct=distinct) is None:
+        found = find_relation_ladder(rel, k, distinct=distinct)
+        if found is None:
             break
-        index = k
-    return index
+        index, ladder = k, found
+    return index, ladder
 
 
 def find_ladder(g: Graph, k: int, distinct: bool = False) -> Ladder | None:

@@ -253,3 +253,53 @@ def test_malformed_partition_json_is_input_error(capsys, tmp_path):
         "--epsilon", "1/2", "--sigma", "const(1/4)",
     )
     assert code == 2 and payload["error"]["kind"] == "input"
+
+
+def test_group_float_order_is_input_error(capsys, tmp_path):
+    for order in (2.9, 2.0, True):
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps({"order": order, "table": [[0, 1], [1, 0]]}))
+        code, payload = run_json(
+            capsys, "group", "--input", str(path), "--set", "0", "--sigma", "const(1/4)"
+        )
+        assert code == 2 and payload["error"]["kind"] == "input", order
+
+
+def test_partition_non_integer_vertices_are_input_errors(capsys, tmp_path):
+    blobs = {
+        "float_vertex": {"n": 2, "exceptional": [], "parts": [[0.7, 1]]},
+        "bool_vertex": {"n": 2, "exceptional": [], "parts": [[False, 1]]},
+        "float_exceptional": {"n": 2, "exceptional": [1.0], "parts": [[0]]},
+        "float_n": {"n": 2.5, "exceptional": [], "parts": [[0, 1]]},
+    }
+    for name, blob in blobs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(blob))
+        code, payload = run_json(
+            capsys, "verify", "--family", "empty(2)", "--partition", str(path),
+            "--epsilon", "1/2", "--sigma", "const(1/4)",
+        )
+        assert code == 2 and payload["error"]["kind"] == "input", name
+
+
+def test_stability_searches_each_k_once(capsys, monkeypatch):
+    import stablereg.cli
+    import stablereg.stability
+
+    searched = []
+    real = stablereg.stability.find_relation_ladder
+
+    def counting(rel, k, distinct=False):
+        searched.append(k)
+        return real(rel, k, distinct=distinct)
+
+    monkeypatch.setattr(stablereg.stability, "find_relation_ladder", counting)
+    monkeypatch.setattr(stablereg.cli, "find_relation_ladder", counting)
+    code, out = run(capsys, "stability", "--family", "half_graph(4)", "--cap", "6")
+    assert code == 0
+    assert searched == [1, 2, 3, 4, 5]
+    assert json.loads(out) == {
+        "ladder_index": 4,
+        "witness": {"vs": [0, 1, 2, 3], "ws": [4, 5, 6, 7]},
+        "k_stable_for": 5,
+    }

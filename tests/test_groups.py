@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -234,3 +235,138 @@ def test_bad_subset_rejected():
     g = cyclic_group(4)
     with pytest.raises(InputError):
         coset_regularity(g, 1 << 7, SIG14, 4)
+
+
+# ---------------------------------------------------------------------------
+# exact associativity (Light's test) and the generating set
+
+
+def _associative_by_triples(table):
+    n = len(table)
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def test_one_bad_entry_rejected_above_order_128():
+    n = 130
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[40][50] = 91  # seeded sampling of 2000 triples misses this entry
+    with pytest.raises(InputError, match="not associative"):
+        FiniteGroup(table)
+
+
+def test_light_test_matches_triple_check_on_random_magmas():
+    rng = random.Random(20260810)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        e = rng.randrange(n)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        for x in range(n):
+            table[e][x] = table[x][e] = x
+        associative = _associative_by_triples(table)
+        outcomes[associative] += 1
+        try:
+            FiniteGroup(table)
+            rejected_as_nonassociative = False
+        except InputError as exc:
+            rejected_as_nonassociative = "not associative" in str(exc)
+        assert rejected_as_nonassociative == (not associative), table
+    assert min(outcomes.values()) > 100
+
+
+def test_generators_generate_the_group():
+    for g in (cyclic_group(12), dihedral_group(9), direct_product(cyclic_group(2), cyclic_group(4))):
+        reached = {g.identity}
+        todo = [g.identity]
+        while todo:
+            a = todo.pop()
+            for s in g.generators:
+                b = g.mul(a, s)
+                if b not in reached:
+                    reached.add(b)
+                    todo.append(b)
+        assert reached == set(range(g.order))
+        assert g.identity not in g.generators
+
+
+# ---------------------------------------------------------------------------
+# oracles for the subgroup enumeration
+
+
+def _small_groups():
+    factors = [cyclic_group(n) for n in range(2, 7)] + [dihedral_group(n) for n in range(1, 4)]
+    groups = [cyclic_group(n) for n in range(1, 13)] + [dihedral_group(n) for n in range(1, 7)]
+    for i, a in enumerate(factors):
+        for b in factors[i:]:
+            if a.order * b.order <= 12:
+                groups.append(direct_product(a, b))
+    return groups
+
+
+def _subgroups_by_subsets(g):
+    others = [x for x in range(g.order) if x != g.identity]
+    out = []
+    for pick in range(1 << len(others)):
+        elems = [g.identity] + [x for i, x in enumerate(others) if (pick >> i) & 1]
+        mask = mask_of(elems)
+        if all((mask >> g.mul(a, b)) & 1 for a in elems for b in elems):
+            out.append(mask)
+    return sorted(out)
+
+
+def test_all_subgroups_matches_subset_scan():
+    groups = _small_groups()
+    assert len(groups) > 25
+    for g in groups:
+        assert all_subgroups(g) == _subgroups_by_subsets(g), g.name
+
+
+def _tau(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def _sigma(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_subgroup_counts_match_divisor_formulas():
+    for n in range(1, 33):
+        assert len(all_subgroups(cyclic_group(n))) == _tau(n), n
+        assert len(all_subgroups(dihedral_group(n))) == _tau(n) + _sigma(n), n
+
+
+BENCHMARK_GROUPS = [
+    (lambda: cyclic_group(64), 7),
+    (lambda: dihedral_group(24), 68),
+    (lambda: direct_product(dihedral_group(5), cyclic_group(6)), 44),
+    (lambda: direct_product(cyclic_group(2), cyclic_group(32)), 17),
+    (lambda: dihedral_group(27), 44),
+]
+
+
+def _normal_by_definition(g, h_mask):
+    return all(
+        (h_mask >> g.mul(g.mul(x, h), g.inv(x))) & 1
+        for x in range(g.order)
+        for h in vertex_list(h_mask)
+    )
+
+
+def test_benchmark_group_subgroup_counts_and_normality():
+    for build, count in BENCHMARK_GROUPS:
+        g = build()
+        subs = all_subgroups(g)
+        assert len(subs) == count, g.name
+        for mask in subs:
+            assert is_normal(g, mask) == _normal_by_definition(g, mask), (g.name, mask)
+
+
+def test_is_normal_matches_definition_on_small_groups():
+    for g in _small_groups():
+        for mask in all_subgroups(g):
+            assert is_normal(g, mask) == _normal_by_definition(g, mask), (g.name, mask)
