@@ -9,6 +9,7 @@ child streams, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -317,7 +318,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return EXIT_PASS if payload["all_pass"] else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not modify it."""
     parser = argparse.ArgumentParser(
         prog="stablereg",
         description="Regularity calculus for stable finite graphs and groups",

@@ -207,6 +207,12 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
     x), and <H, x> is the closure of H under right multiplication by that
     tuple, since positive words suffice in a finite group.
     """
+    return _subgroup_walk(g, [(x,) for x in range(g.order)])
+
+
+def _subgroup_walk(g: FiniteGroup, spans: list[tuple[int, ...]]) -> list[int]:
+    """The sorted masks reached from the trivial subgroup by joining H with
+    spans[x], for one x per left coset xH outside each subgroup H found."""
     bound = config.capacity_bound("group")
     if g.order > bound:
         raise CapacityError(f"subgroup enumeration bound is order <= {bound}")
@@ -224,9 +230,13 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
                     continue
                 row = g.table[x]
                 covered |= mask_of(row[a] for a in h_elems)
-                k = _close(g.table, h, h_gens, x)
+                k, k_gens = h, h_gens
+                for y in spans[x]:
+                    if not (k >> y) & 1:
+                        k = _close(g.table, k, k_gens, y)
+                        k_gens += (y,)
                 if k not in generated_by:
-                    generated_by[k] = h_gens + (x,)
+                    generated_by[k] = k_gens
                     nxt.append(k)
         frontier = nxt
     return sorted(generated_by)
@@ -244,18 +254,46 @@ def is_normal(g: FiniteGroup, h_mask: int) -> bool:
     return True
 
 
+def _conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The conjugacy class of each element, ascending: its orbit under
+    conjugation by the generators, which is exact as in is_normal."""
+    classes: list[tuple[int, ...]] = [()] * g.order
+    for x in range(g.order):
+        if classes[x]:
+            continue
+        orbit, todo = 1 << x, [x]
+        while todo:
+            y = todo.pop()
+            for s in g.generators:
+                z = g.table[g.table[s][y]][g.inv(s)]
+                if not (orbit >> z) & 1:
+                    orbit |= 1 << z
+                    todo.append(z)
+        members = tuple(bits(orbit))
+        for y in members:
+            classes[y] = members
+    return classes
+
+
 def normal_subgroups_up_to_index(g: FiniteGroup, max_index: int) -> list[Subgroup]:
     """Normal subgroups of index at most max_index, ordered by increasing
-    index then by element mask."""
+    index then by element mask.
+
+    The walk of all_subgroups joins a normal N with the whole conjugacy
+    class of x, which gives the least normal subgroup containing N and x,
+    so only normal subgroups are visited, and each normal M is reached by
+    adding the classes of its elements one at a time. The join depends only
+    on the coset xN, since the class of xn lies in N and the class of x.
+    """
     if max_index < 1:
         raise InputError("max_index must be at least 1")
     out = []
-    for mask in all_subgroups(g):
+    for mask in _subgroup_walk(g, _conjugacy_classes(g)):
         order = mask.bit_count()
         if g.order % order:
             raise AssertionError("subgroup order must divide group order")
         index = g.order // order
-        if index <= max_index and is_normal(g, mask):
+        if index <= max_index:
             out.append(Subgroup(mask, index, True))
     out.sort(key=lambda s: (s.index, s.elements))
     return out

@@ -22,11 +22,16 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError
-from .graphs import Graph, bits
+from .graphs import Graph, bits, transpose
 
 
 class Relation:
-    """Finite relation R <= A x B; rows[a] is the bitmask of b with R(a, b)."""
+    """Finite relation R <= A x B; rows[a] is the bitmask of b with R(a, b).
+
+    `cols[b]` is the bitmask of a with R(a, b), taken from
+    `graphs.transpose`, the blocked bit-matrix kernel whose scratch space is
+    O(256 * nw) bytes.
+    """
 
     __slots__ = ("nv", "nw", "rows", "cols")
 
@@ -36,16 +41,13 @@ class Relation:
         if len(rows) != nv:
             raise InputError("row count does not match left side size")
         full = (1 << nw) - 1
-        cols = [0] * nw
         for a, row in enumerate(rows):
             if row & ~full:
                 raise InputError(f"row {a} references parameters >= {nw}")
-            for b in bits(row):
-                cols[b] |= 1 << a
         self.nv = nv
         self.nw = nw
         self.rows = tuple(rows)
-        self.cols = tuple(cols)
+        self.cols = transpose(self.rows, nw)
 
 
 def graph_relation(g: Graph) -> Relation:
@@ -74,40 +76,63 @@ def find_relation_ladder(rel: Relation, k: int, distinct: bool = False) -> Ladde
 
     With `distinct=True` all 2k slots must name pairwise distinct elements;
     that variant only makes sense when both sides share a universe.
+
+    The search below a state depends only on (depth, cand_v, cand_w, used),
+    so refuted states are recorded and skipped when they recur. Only dead
+    subtrees are skipped, so the DFS order and the first witness are those
+    of the plain search.
     """
     if k < 1:
         raise InputError("ladder length must be at least 1")
-    full_v = (1 << rel.nv) - 1
-    full_w = (1 << rel.nw) - 1
-    vs: list[int] = []
-    ws: list[int] = []
+    search = _LadderSearch(rel, k, distinct)
+    if search.extend((1 << rel.nv) - 1, (1 << rel.nw) - 1, 0):
+        return Ladder(tuple(search.vs), tuple(search.ws))
+    return None
 
-    def extend(cand_v: int, cand_w: int, used: int) -> bool:
+
+class _LadderSearch:
+    """One DFS for find_relation_ladder. The recursion is a method rather
+    than a self-referencing closure, so the memo of refuted states is freed
+    by reference counting when the call returns."""
+
+    __slots__ = ("rows", "cols", "k", "distinct", "vs", "ws", "dead")
+
+    def __init__(self, rel: Relation, k: int, distinct: bool):
+        self.rows = rel.rows
+        self.cols = rel.cols
+        self.k = k
+        self.distinct = distinct
+        self.vs: list[int] = []
+        self.ws: list[int] = []
+        self.dead: set[tuple[int, int, int, int]] = set()
+
+    def extend(self, cand_v: int, cand_w: int, used: int) -> bool:
         # cand_v: non-adjacent to every chosen w; cand_w: adjacent to every chosen v.
+        vs, ws, distinct = self.vs, self.ws, self.distinct
+        state = (len(vs), cand_v, cand_w, used)
+        if state in self.dead:
+            return False
         pool_v = cand_v & ~used if distinct else cand_v
         for v in bits(pool_v):
-            next_w = cand_w & rel.rows[v]
+            next_w = cand_w & self.rows[v]
             pool_w = next_w & ~(used | (1 << v)) if distinct else next_w
             if not pool_w:
                 continue
             vs.append(v)
             for w in bits(pool_w):
                 ws.append(w)
-                if len(vs) == k:
+                if len(vs) == self.k:
                     return True
-                if extend(
-                    cand_v & ~rel.cols[w],
+                if self.extend(
+                    cand_v & ~self.cols[w],
                     next_w,
                     used | (1 << v) | (1 << w) if distinct else 0,
                 ):
                     return True
                 ws.pop()
             vs.pop()
+        self.dead.add(state)
         return False
-
-    if extend(full_v, full_w, 0):
-        return Ladder(tuple(vs), tuple(ws))
-    return None
 
 
 def ladder_exists_scan(rel: Relation, k: int) -> bool:

@@ -303,3 +303,12 @@ def test_stability_searches_each_k_once(capsys, monkeypatch):
         "witness": {"vs": [0, 1, 2, 3], "ws": [4, 5, 6, 7]},
         "k_stable_for": 5,
     }
+
+
+def test_parser_reuse_keeps_output_identical(capsys):
+    argv = ("stability", "--family", "perturb(clique_union(4,4,4),3,2)", "--cap", "4")
+    first = run(capsys, *argv)
+    code, payload = run_json(capsys, "types", "--family", "bad(")
+    assert code == 2 and payload["error"]["kind"] == "input"
+    assert run(capsys, *argv) == first
+    assert first[0] == 0

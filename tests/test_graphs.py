@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from stablereg.graphs import (
     parse_vertex_set,
     perturb,
     to_edge_list,
+    transpose,
     vertex_list,
 )
 
@@ -194,3 +196,64 @@ def test_parse_vertex_set():
 
 def test_bits_ascending():
     assert list(bits(0b101001)) == [0, 3, 5]
+
+
+def _transpose_by_bits(rows, width):
+    cols = [0] * width
+    for a, row in enumerate(rows):
+        for b in range(width):
+            if (row >> b) & 1:
+                cols[b] |= 1 << a
+    return tuple(cols)
+
+
+def test_transpose_matches_per_bit_loop():
+    rng = random.Random(20261018)
+    heights = list(range(1, 21)) + [255, 256, 257, 1023, 1024, 1025, 2100]
+    for nv in heights:
+        for nw in list(range(1, 21)) + [63, 64, 65]:
+            rows = [rng.getrandbits(nw) for _ in range(nv)]
+            assert transpose(rows, nw) == _transpose_by_bits(rows, nw), (nv, nw)
+    assert transpose([0] * 5, 7) == (0,) * 7
+    full = (1 << 9) - 1
+    assert transpose([full] * 1030, 9) == ((1 << 1030) - 1,) * 9
+
+
+def _validation_error_by_loops(n, adj):
+    """Graph's checks with symmetry tested edge by edge, as a reference."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            return f"row {v} references vertices >= {n}"
+        if (row >> v) & 1:
+            return f"self-loop at vertex {v}"
+    for v in range(n):
+        for w in bits(adj[v]):
+            if not (adj[w] >> v) & 1:
+                return f"asymmetric edge {v}-{w}"
+    return None
+
+
+def test_symmetry_check_matches_edge_loop():
+    rng = random.Random(7)
+    asymmetric = 0
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.4:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.randrange(n), rng.randrange(n + 1)
+            rows[u] ^= 1 << v
+        expected = _validation_error_by_loops(n, rows)
+        try:
+            Graph(n, tuple(rows))
+            got = None
+        except InputError as exc:
+            got = str(exc)
+        assert got == expected, (n, rows)
+        asymmetric += expected is not None and expected.startswith("asymmetric")
+    assert asymmetric > 1000

@@ -7,6 +7,7 @@ from stablereg.errors import CapacityError, InputError
 from stablereg.graphs import mask_of, vertex_list
 from stablereg.groups import (
     FiniteGroup,
+    Subgroup,
     all_subgroups,
     coset_regularity,
     coset_report,
@@ -370,3 +371,27 @@ def test_is_normal_matches_definition_on_small_groups():
     for g in _small_groups():
         for mask in all_subgroups(g):
             assert is_normal(g, mask) == _normal_by_definition(g, mask), (g.name, mask)
+
+
+def _normal_subgroups_by_filter(g, max_index):
+    out = [
+        Subgroup(mask, g.order // mask.bit_count(), True)
+        for mask in all_subgroups(g)
+        if g.order // mask.bit_count() <= max_index and is_normal(g, mask)
+    ]
+    return sorted(out, key=lambda s: (s.index, s.elements))
+
+
+def test_normal_walk_matches_subgroup_filter():
+    factors = [cyclic_group(n) for n in range(2, 13)] + [dihedral_group(n) for n in range(1, 7)]
+    groups = [cyclic_group(n) for n in range(1, 49)] + [dihedral_group(n) for n in range(1, 25)]
+    for i, a in enumerate(factors):
+        for b in factors[i:]:
+            if a.order * b.order <= 24:
+                groups.append(direct_product(a, b))
+    groups += [build() for build, _ in BENCHMARK_GROUPS]
+    for g in groups:
+        for max_index in (g.order, 2):
+            assert normal_subgroups_up_to_index(g, max_index) == _normal_subgroups_by_filter(
+                g, max_index
+            ), (g.name, max_index)

@@ -1,3 +1,5 @@
+import gc
+import random
 from itertools import combinations
 
 import pytest
@@ -7,14 +9,17 @@ from hypothesis import strategies as st
 from stablereg.errors import InputError
 from stablereg.graphs import (
     Graph,
+    bits,
     clique_union,
     complete_graph,
     empty_graph,
     half_graph,
     matching_graph,
+    parse_family,
 )
 from stablereg.stability import (
     Ladder,
+    Relation,
     find_ladder,
     find_relation_ladder,
     graph_relation,
@@ -22,6 +27,7 @@ from stablereg.stability import (
     ladder_exists_naive,
     ladder_exists_scan,
     ladder_index,
+    relation_ladder_index,
 )
 from tests.test_graphs import graphs
 
@@ -144,3 +150,78 @@ def test_induced_subgraph_monotone(g, pick):
     mask = (pick % g.full_mask) + 1 if g.full_mask > 1 else 1
     sub = g.induced(mask)
     assert ladder_index(sub, sub.n) <= ladder_index(g, g.n)
+
+
+def _plain_dfs(rel, k, distinct=False):
+    """The ladder DFS without the memo of refuted states, as a reference."""
+    vs, ws = [], []
+
+    def extend(cand_v, cand_w, used):
+        pool_v = cand_v & ~used if distinct else cand_v
+        for v in bits(pool_v):
+            next_w = cand_w & rel.rows[v]
+            pool_w = next_w & ~(used | (1 << v)) if distinct else next_w
+            if not pool_w:
+                continue
+            vs.append(v)
+            for w in bits(pool_w):
+                ws.append(w)
+                if len(vs) == k:
+                    return True
+                if extend(
+                    cand_v & ~rel.cols[w],
+                    next_w,
+                    used | (1 << v) | (1 << w) if distinct else 0,
+                ):
+                    return True
+                ws.pop()
+            vs.pop()
+        return False
+
+    if extend((1 << rel.nv) - 1, (1 << rel.nw) - 1, 0):
+        return Ladder(tuple(vs), tuple(ws))
+    return None
+
+
+def test_memoized_search_matches_plain_dfs_on_random_relations():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(1500):
+        nv, nw = rng.randint(1, 10), rng.randint(1, 10)
+        density = rng.choice((0.2, 0.5, 0.8))
+        rows = tuple(
+            sum(1 << b for b in range(nw) if rng.random() < density) for _ in range(nv)
+        )
+        rel = Relation(nv, nw, rows)
+        k = rng.randint(1, 4)
+        for distinct in (False, True):
+            found = find_relation_ladder(rel, k, distinct=distinct)
+            assert found == _plain_dfs(rel, k, distinct=distinct), (rows, nw, k, distinct)
+            outcomes.add((distinct, found is None))
+        assert (find_relation_ladder(rel, k) is not None) == ladder_exists_scan(rel, k)
+    assert len(outcomes) == 4
+
+
+def test_memoized_refutations_match_plain_dfs_on_perturbed_clique_unions():
+    rng = random.Random(5)
+    for seed in range(50):
+        sizes = [10 + rng.randint(-1, 1) for _ in range(4)]
+        spec = f"perturb(clique_union({','.join(map(str, sizes))}),5,{seed})"
+        rel = graph_relation(parse_family(spec))
+        k = relation_ladder_index(rel, 6) + 1
+        found = find_relation_ladder(rel, k)
+        assert found == _plain_dfs(rel, k), spec
+        assert (found is not None) == ladder_exists_scan(rel, k), spec
+
+
+def test_ladder_search_leaves_no_reference_cycle():
+    # The memo of refuted states must be freed when the search returns, not
+    # when the cycle collector next runs.
+    g = parse_family("perturb(clique_union(10,10,10,10),5,1)")
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_ladder(g, 5) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
