@@ -12,6 +12,10 @@ EXCELLENT_EXHAUSTIVE_BOUND = 14
 EXACT_PARTITION_BOUND = 12
 # Largest group order accepted for subgroup enumeration.
 GROUP_ORDER_BOUND = 128
+# Largest vertex count of a graph built from a family or an edge list; the
+# packed adjacency of a graph at the bound takes n^2/8 = 50 MB. Fixed: no
+# environment variable overrides it.
+VERTEX_BOUND = 20_000
 
 _ENV_NAMES = {
     "excellent": "STABLEREG_EXCELLENT_BOUND",

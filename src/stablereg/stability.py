@@ -30,7 +30,7 @@ class Relation:
 
     `cols[b]` is the bitmask of a with R(a, b), taken from
     `graphs.transpose`, the blocked bit-matrix kernel whose scratch space is
-    O(256 * nw) bytes.
+    O(256 * nw) bytes; `graph_relation` reuses a graph's rows instead.
     """
 
     __slots__ = ("nv", "nw", "rows", "cols")
@@ -51,7 +51,15 @@ class Relation:
 
 
 def graph_relation(g: Graph) -> Relation:
-    return Relation(g.n, g.n, g.adj)
+    """The adjacency relation of g, whose columns are its rows.
+
+    A `Graph` is validated symmetric, so its rows need neither the row check
+    nor the transpose of `Relation.__init__`.
+    """
+    rel = object.__new__(Relation)
+    rel.nv = rel.nw = g.n
+    rel.rows = rel.cols = g.adj
+    return rel
 
 
 @dataclass(frozen=True)

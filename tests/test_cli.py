@@ -1,5 +1,6 @@
 import json
 
+from stablereg import config
 from stablereg.cli import main
 from stablereg.graphs import parse_edge_list, parse_family
 from stablereg.partitions import partition_from_json
@@ -312,3 +313,18 @@ def test_parser_reuse_keeps_output_identical(capsys):
     assert code == 2 and payload["error"]["kind"] == "input"
     assert run(capsys, *argv) == first
     assert first[0] == 0
+
+
+def test_vertex_bound_is_capacity_error(capsys, tmp_path):
+    over = config.VERTEX_BOUND + 1
+    big = tmp_path / "big.txt"
+    big.write_text(f"{over} 0\n")
+    for argv in (
+        ["stability", "--input", str(big)],
+        ["stability", "--family", f"empty({over})"],
+        ["types", "--family", f"empty({over})"],
+        ["types", "--family", "matching(1000000000)"],
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert code == 3 and payload["error"]["kind"] == "capacity", argv
+        assert f"bound is n <= {config.VERTEX_BOUND}" in payload["error"]["reason"]

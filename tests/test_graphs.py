@@ -1,11 +1,14 @@
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablereg.errors import InputError
+from stablereg import config
+from stablereg import graphs as graphs_module
+from stablereg.errors import CapacityError, InputError
 from stablereg.graphs import (
     Graph,
     bits,
@@ -257,3 +260,214 @@ def test_symmetry_check_matches_edge_loop():
         assert got == expected, (n, rows)
         asymmetric += expected is not None and expected.startswith("asymmetric")
     assert asymmetric > 1000
+
+
+# ---------------------------------------------------------------------------
+# The line-by-line edge-list reader, kept as the reference for the chunked
+# kernel: same `Graph`, or the same `InputError` message, on every input.
+
+
+def reference_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    rows = [0] * n
+    for u, v in edges:
+        if u == v:
+            raise InputError(f"self-loop {u} {u} rejected")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge {u} {v} out of range for n={n}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line]
+    if not lines:
+        raise InputError("empty edge-list input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise InputError('edge-list header must be "n <count>"')
+    try:
+        n, count = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise InputError("edge-list header must contain two integers") from exc
+    if n <= 0:
+        raise InputError("vertex count must be positive")
+    if count != len(lines) - 1:
+        raise InputError(f"header announces {count} edges, found {len(lines) - 1}")
+    return reference_from_edges(n, map(_reference_edge, lines[1:]))
+
+
+def _reference_edge(line: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise InputError(f"bad edge line: {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise InputError(f"bad edge line: {line!r}") from exc
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# Line breaks of str.splitlines, and whitespace that only separates tokens.
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+_BLANKS = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+_ODD_TOKENS = ["x", "1.0", "\u00b2", "1__0", "_1", "1_", "--1", "+", "-", "0x1", "\x00"]
+
+
+def _tokens(n: int):
+    """Vertex tokens around 0..n-1, in the spellings int() accepts or not."""
+    near = st.integers(-2, n + 2)
+    return st.one_of(
+        near.map(str),
+        near.map(str),
+        near.map(str),
+        near.map(lambda v: "00" + str(v)),
+        near.map(lambda v: ("+" if v >= 0 else "") + str(v)),
+        near.map(lambda v: str(v).zfill(20)),
+        st.integers(0, 10**25).map(str),
+        st.integers(10, 99).map(lambda v: f"{v // 10}_{v % 10}"),
+        st.integers(0, 9).map(lambda d: "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"[d]),
+        st.integers(0, 9).map(lambda d: chr(0xFF10 + d) + str(d)),
+        st.sampled_from(_ODD_TOKENS),
+    )
+
+
+@st.composite
+def edge_texts(draw):
+    n = draw(st.integers(1, 8))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
+        lambda e: [str(e[0]), str((e[0] + 1) % n if e[0] == e[1] else e[1])]
+    )
+    wild = st.lists(_tokens(n), max_size=3)
+    gap = st.text(st.sampled_from(_BLANKS), min_size=1, max_size=2)
+    pad = st.text(st.sampled_from(_BLANKS), max_size=2)
+
+    def line(items):
+        return draw(pad) + "".join(t + draw(gap) for t in items[:-1]) + "".join(items[-1:]) + draw(pad)
+
+    body = ""
+    for _ in range(draw(st.integers(0, 10))):
+        body += line(draw(wild if draw(st.integers(0, 9)) == 0 else edge))
+        body += draw(st.sampled_from(_BREAKS))
+    if draw(st.booleans()):
+        body = body.rstrip("".join(_BREAKS))  # no break after the last line
+    count = sum(1 for item in body.splitlines() if item.strip())
+    head = [
+        draw(st.sampled_from([str(n)] * 6 + ["0", "-1", f"+{n}", f"0{n}", "x", "\u0663"])),
+        draw(st.sampled_from([str(count)] * 6 + [str(count + 1), str(count - 1), "y"])),
+    ]
+    head = draw(st.sampled_from([head] * 12 + [head[:1], head + ["1"]]))
+    lead = draw(st.sampled_from(["", "", "\n", " \t\n\x1c"]))
+    return lead + line(head) + draw(st.sampled_from(_BREAKS)) + body
+
+
+@settings(max_examples=600, deadline=None)
+@given(edge_texts(), st.sampled_from([1, 2, 3, 5, 8, graphs_module._CHUNK]))
+def test_parse_edge_list_matches_reference(text, chunk):
+    saved = graphs_module._CHUNK
+    graphs_module._CHUNK = chunk
+    try:
+        assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
+    finally:
+        graphs_module._CHUNK = saved
+
+
+def test_edge_list_reference_examples(monkeypatch):
+    """The reading rules one input at a time, at several chunk sizes."""
+    texts = [
+        "",
+        " \n\t\n",
+        "3",
+        "3 1 1\n0 1\n",
+        "3 x\n",
+        "0 0\n",
+        "-2 0\n",
+        "3 2\n0 1\n",
+        "3 1\n0 1\n1 2\n",
+        "3 1\n\n  0 1  \n\n",
+        "3 2\r\n0\t1\r\n1\x1f2\r\n",
+        "3 2\x0b0 1\x0c1 2\x1c",
+        "3 2\x1d0 1\x1e1\xa02\x85",
+        "3 1\n0\u20282\n",  # one line broken in two by U+2028
+        "3 1\n+1 -0\n",
+        "3 1\n1_0 2\n",
+        "3 1\n00000000000000000000002 1\n",
+        "3 1\n12345678901234567890 1\n",
+        "3 1\n\u0661 \u0662\n",
+        "3 1\n\uff11 2\n",
+        "3 1\n\u00b2 1\n",
+        "3 1\n1 1\n",
+        "3 1\n7 7\n",
+        "3 1\n0 3\n",
+        "3 2\n0 1 2\n5 5\n",
+        "3 2\n5 5\n0 1 2\n",
+        "3 3\n0 1\n1 0\n0 1\n",
+        "\u0663 1\n0 1\n",
+        "3 1\n0 1" + " " * 40 + "\n",
+    ]
+    chunks = (1, 2, 3, graphs_module._CHUNK)
+    graphs_read = 0
+    for text in texts:
+        for chunk in chunks:
+            monkeypatch.setattr(graphs_module, "_CHUNK", chunk)
+            got = _outcome(parse_edge_list, text)
+            assert got == _outcome(reference_parse_edge_list, text), (text, chunk)
+        graphs_read += isinstance(got, Graph)
+    assert 0 < graphs_read < len(texts)
+
+
+def test_edge_list_chunk_boundaries(monkeypatch):
+    g = parse_family("perturb(clique_union(9,8,7),30,3)")
+    plain = to_edge_list(g)
+    bad = plain.replace(f"{g.n} {g.edge_count()}", f"{g.n} {g.edge_count() + 1}", 1)
+    text, bad = (t.replace("\n", "\r\n").replace(" ", " \t") for t in (plain, bad + "4 4\n"))
+    for chunk in range(1, 13):
+        monkeypatch.setattr(graphs_module, "_CHUNK", chunk)
+        assert parse_edge_list(text) == g
+        with pytest.raises(InputError, match="self-loop 4 4 rejected"):
+            parse_edge_list(bad)
+
+
+def test_edge_list_round_trip_past_one_chunk():
+    g = perturb(clique_union([600, 600]), 500, 11)
+    text = to_edge_list(g)
+    assert len(text) > 1 << 20
+    assert parse_edge_list(text) == g
+
+
+def test_from_edges_matches_reference():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(-1, 6)
+        pool = [-1, 0, 1, 2, 3, 5, 6, 7, 10**20, -(10**20)]
+        edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 4))]
+        assert _outcome(from_edges, n, edges) == _outcome(reference_from_edges, n, edges)
+    for m in (1, 2, 5, 17):
+        pairs = [(2 * i, 2 * i + 1) for i in range(m)]
+        assert matching_graph(m) == reference_from_edges(2 * m, pairs)
+
+
+def test_vertex_bound():
+    bound = config.VERTEX_BOUND
+    for build in (
+        lambda: parse_edge_list("1000000000 0\n"),
+        lambda: parse_edge_list(f"{bound + 1} 0\n"),
+        lambda: from_edges(10**9, []),
+        lambda: from_edges(bound + 1, iter(())),
+        lambda: empty_graph(bound + 1),
+        lambda: complete_graph(bound + 1),
+        lambda: half_graph(bound // 2 + 1),
+        lambda: matching_graph(10**9),
+        lambda: matching_graph(bound // 2 + 1),
+        lambda: clique_union([bound, 1]),
+    ):
+        with pytest.raises(CapacityError, match=f"bound is n <= {bound}$"):
+            build()
+    assert parse_edge_list(f"{bound} 1\n0 {bound - 1}\n").n == bound

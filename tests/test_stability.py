@@ -16,6 +16,8 @@ from stablereg.graphs import (
     half_graph,
     matching_graph,
     parse_family,
+    perturb,
+    transpose,
 )
 from stablereg.stability import (
     Ladder,
@@ -225,3 +227,15 @@ def test_ladder_search_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_graph_relation_columns_are_rows():
+    rng = random.Random(5)
+    for _ in range(40):
+        sizes = [rng.randint(1, 30) for _ in range(rng.randint(1, 4))]
+        base = clique_union(sizes)
+        total = base.n * (base.n - 1) // 2
+        g = perturb(base, rng.randint(0, min(total, 40)), rng.randrange(1000))
+        rel = graph_relation(g)
+        assert rel.cols == transpose(g.adj, g.n)
+        assert (rel.nv, rel.nw, rel.rows) == (g.n, g.n, g.adj)
