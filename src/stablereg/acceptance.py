@@ -215,7 +215,9 @@ def criterion_3(seed: int) -> CriterionResult:
     """Homogeneous => special, special => homogeneous, good pair =>
     homogeneous, exhaustively over all graphs on at most 5 vertices."""
     eps_pool = [Fraction(1, 4), Fraction(1, 9), Fraction(1, 16)]
-    roots = {eps: _fraction_sqrt(eps) for eps in eps_pool}
+    roots = [_fraction_sqrt(eps) for eps in eps_pool]
+    # (eps, sqrt(eps), 2 eps, 2 sqrt(eps)), resolved once per eps
+    thresholds = [(eps, root, 2 * eps, 2 * root) for eps, root in zip(eps_pool, roots)]
     pairs_checked = 0
     failures = 0
     for n in range(1, 6):
@@ -223,14 +225,13 @@ def criterion_3(seed: int) -> CriterionResult:
             sets = range(1, 1 << n)
             for X in sets:
                 for Y in sets:
-                    for eps in eps_pool:
+                    for eps, root, double, double_root in thresholds:
                         pairs_checked += 1
-                        root = roots[eps]
                         if is_homogeneous(g, X, Y, eps) and not is_special(g, X, Y, root):
                             failures += 1
-                        if is_special(g, X, Y, eps) and not is_homogeneous(g, X, Y, 2 * eps):
+                        if is_special(g, X, Y, eps) and not is_homogeneous(g, X, Y, double):
                             failures += 1
-                        if is_good_pair(g, X, Y, eps) and not is_homogeneous(g, X, Y, 2 * root):
+                        if is_good_pair(g, X, Y, eps) and not is_homogeneous(g, X, Y, double_root):
                             failures += 1
     return CriterionResult(
         3,

@@ -124,7 +124,8 @@ class Graph:
             raise InputError(f"vertex {v} out of range 0..{self.n - 1}")
 
     def _check_set(self, X: int) -> None:
-        if X & ~self.full_mask:
+        # X >> n is nonzero exactly when X & ~full_mask is, negative X included
+        if X >> self.n:
             raise InputError("vertex set references vertices out of range")
 
     def neighborhood(self, X: int, b: int) -> int:
@@ -150,10 +151,14 @@ class Graph:
         self._check_set(Y)
         if X == 0 or Y == 0:
             raise InputError("density is undefined for an empty side")
+        adj = self.adj
+        size = X.bit_count()
         count = 0
-        for a in bits(X):
-            count += (self.adj[a] & Y).bit_count()
-        return count, X.bit_count() * Y.bit_count()
+        while X:
+            bit = X & -X
+            count += (adj[bit.bit_length() - 1] & Y).bit_count()
+            X ^= bit
+        return count, size * Y.bit_count()
 
     def induced(self, X: int) -> "Graph":
         """Induced subgraph on X, relabeled to 0..|X|-1 in ascending order."""

@@ -5,6 +5,9 @@ sitting exactly on a threshold fails both the low and the high clause.
 Thresholds arrive as `Fraction`s; `cutoffs` turns one into a pair of integer
 bounds per set size, so the hot loops compare plain ints and never allocate
 rationals.
+Per call, the kernel walks a set with an inline lowest-bit loop over a local
+`adj`, checks thresholds by their numerator and ranges by `X >> n`, so a call
+on a tiny graph costs a few microseconds.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 
 from . import config
 from .errors import CapacityError, InputError
-from .graphs import Graph, bits
+from .graphs import Graph
 
 Side = str  # "low" | "high"
 
@@ -52,19 +55,22 @@ def lopsided(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[int, int]:
     """(low, high): the members a of X with |E(a, Y)| < eps|Y|, and those
     with |E(a, Y)| > (1 - eps)|Y|. Inputs are not validated."""
     lo, hi = cutoffs(Y.bit_count(), eps)
+    adj = g.adj
     low = high = 0
-    for a in bits(X):
-        c = (g.adj[a] & Y).bit_count()
+    while X:
+        bit = X & -X
+        c = (adj[bit.bit_length() - 1] & Y).bit_count()
         if c < lo:
-            low |= 1 << a
+            low |= bit
         if c > hi:
-            high |= 1 << a
+            high |= bit
+        X ^= bit
     return low, high
 
 
 def _check_eps(*thresholds: Fraction) -> None:
     for t in thresholds:
-        if t <= 0:
+        if t.numerator <= 0:
             raise InputError("threshold must be positive")
 
 
@@ -97,8 +103,8 @@ def good_set_violation(g: Graph, X: int, eps: Fraction) -> int | None:
     if size == 1:
         return None
     lo, hi = cutoffs(size, eps)
-    for b in range(g.n):
-        if lo <= (g.adj[b] & X).bit_count() <= hi:
+    for b, row in enumerate(g.adj):
+        if lo <= (row & X).bit_count() <= hi:
             return b
     return None
 
@@ -112,21 +118,25 @@ def threshold_sets(
     return lopsided(g, X, Y, delta)[0], lopsided(g, Y, X, eps)[1]
 
 
-def homogeneity(g: Graph, X: int, Y: int, eps: Fraction) -> PairVerdict:
+def _kind(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[str, int, int]:
+    """(kind, edge pair count, |X||Y|) of the pair at eps; low wins."""
     _check_eps(eps)
     num, den = g.density_pair(X, Y)
     lo, hi = cutoffs(den, eps)
     if num < lo:
-        kind = "homogeneous-low"
-    elif num > hi:
-        kind = "homogeneous-high"
-    else:
-        kind = "not-homogeneous"
+        return "homogeneous-low", num, den
+    if num > hi:
+        return "homogeneous-high", num, den
+    return "not-homogeneous", num, den
+
+
+def homogeneity(g: Graph, X: int, Y: int, eps: Fraction) -> PairVerdict:
+    kind, num, den = _kind(g, X, Y, eps)
     return PairVerdict(kind, Fraction(num, den), eps)
 
 
 def is_homogeneous(g: Graph, X: int, Y: int, eps: Fraction) -> bool:
-    return homogeneity(g, X, Y, eps).kind != "not-homogeneous"
+    return _kind(g, X, Y, eps)[0] != "not-homogeneous"
 
 
 def is_good_pair(g: Graph, X: int, Y: int, eps: Fraction) -> bool:

@@ -136,6 +136,8 @@ class Partition:
     params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise InputError(f"partition vertex count must be nonnegative, got {self.n}")
         union = self.exceptional
         total = self.exceptional.bit_count()
         for part in self.parts:
@@ -177,9 +179,10 @@ def partition_from_json(data: dict) -> Partition:
         n = _json_int(data["n"])
         exceptional = mask_of(_json_int(v) for v in data["exceptional"])
         parts = tuple(mask_of(_json_int(v) for v in block) for block in data["parts"])
+        params = dict(data.get("params", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed partition JSON: {exc}") from exc
-    return Partition(n, exceptional, parts, dict(data.get("params", {})))
+    return Partition(n, exceptional, parts, params)
 
 
 def type_mass_partition(g: Graph, eps: Fraction) -> Partition:

@@ -46,6 +46,8 @@ class TypeSpectrum:
         return tuple(Fraction(c.size, self.n) for c in self.classes)
 
     def class_of(self, v: int) -> TypeClass:
+        if v < 0:
+            raise InputError(f"vertex {v} out of range")
         for c in self.classes:
             if (c.members >> v) & 1:
                 return c
@@ -204,13 +206,18 @@ def _construct(
         if stage == 0:
             new_i[bit] = not_sig & row
             new_j[bit] = sig & ~row
+        # An empty candidate mask stays empty at every later stage, so only
+        # nonempty ones are kept. A new nonempty mask holds only parameters not
+        # yet recorded (witnesses agree with sig on recorded ones) and records
+        # one, so the masks kept can double only at stages that record a new
+        # parameter, not at each of the 2k stages.
         for sub, cand in new_i.items():
-            i_cand[sub] = cand
             if cand:
+                i_cand[sub] = cand
                 record((cand & -cand).bit_length() - 1)
         for sub, cand in new_j.items():
-            j_cand[sub] = cand
             if cand:
+                j_cand[sub] = cand
                 record((cand & -cand).bit_length() - 1)
 
     counts = []

@@ -471,3 +471,26 @@ def test_vertex_bound():
         with pytest.raises(CapacityError, match=f"bound is n <= {bound}$"):
             build()
     assert parse_edge_list(f"{bound} 1\n0 {bound - 1}\n").n == bound
+
+
+def test_set_range_check_matches_full_mask_rule():
+    # the check is `X >> n`; the rule it replaced is `X & ~full_mask`
+    rng = random.Random(7)
+    for n in (1, 2, 7, 8, 9, 63, 64, 65, 200):
+        g = empty_graph(n)
+        masks = [0, g.full_mask, 1 << n, -1, -2, ~g.full_mask, -(1 << n)]
+        masks += [rng.randrange(-(1 << (n + 3)), 1 << (n + 3)) for _ in range(200)]
+        for X in masks:
+            calls = (
+                lambda: g.neighborhood(X, 0),
+                lambda: g.co_neighborhood(X, 0),
+                lambda: g.induced(X),
+                lambda: g.density_pair(X, 1),
+                lambda: g.density_pair(1, X),
+            )
+            for call in calls:
+                if X & ~g.full_mask:
+                    with pytest.raises(InputError, match="vertex set references vertices out of range"):
+                        call()
+                elif X:
+                    call()

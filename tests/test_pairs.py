@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stablereg.errors import CapacityError, InputError
 from stablereg.graphs import (
     Graph,
+    bits,
     clique_union,
     complete_graph,
     empty_graph,
@@ -27,6 +28,7 @@ from stablereg.pairs import (
     is_good_set,
     is_homogeneous,
     is_special,
+    lopsided,
     special_witness,
     threshold_sets,
 )
@@ -326,3 +328,110 @@ def test_excellence_remark(delta):
             for X in range(1, g.full_mask + 1):
                 if is_good_set(g, X, eps):
                     assert is_excellent(g, X, target, delta), (g, X, eps, delta)
+
+
+# ---------------------------------------------------------------------------
+# the per-call kernel against the bits() loops it replaced
+
+
+def reference_lopsided(g, X, Y, eps):
+    """`lopsided` as it was written with the `bits()` generator."""
+    lo, hi = cutoffs(Y.bit_count(), eps)
+    low = high = 0
+    for a in bits(X):
+        c = (g.adj[a] & Y).bit_count()
+        if c < lo:
+            low |= 1 << a
+        if c > hi:
+            high |= 1 << a
+    return low, high
+
+
+def reference_density_pair(g, X, Y):
+    """`Graph.density_pair`'s count as it was written with `bits()`."""
+    count = 0
+    for a in bits(X):
+        count += (g.adj[a] & Y).bit_count()
+    return count, X.bit_count() * Y.bit_count()
+
+
+KERNEL_EPS = [F(1, 16), F(1, 4), F(1, 2), F(2, 3), F(3, 2)]
+
+
+@given(graphs(max_n=10), st.data())
+@settings(max_examples=400)
+def test_kernel_matches_bits_loop_reference(g, data):
+    X = data.draw(st.integers(min_value=1, max_value=g.full_mask))
+    Y = data.draw(st.integers(min_value=1, max_value=g.full_mask))
+    eps = data.draw(st.sampled_from(KERNEL_EPS))
+    assert lopsided(g, X, Y, eps) == reference_lopsided(g, X, Y, eps)
+    assert lopsided(g, Y, X, eps) == reference_lopsided(g, Y, X, eps)
+    assert g.density_pair(X, Y) == reference_density_pair(g, X, Y)
+    assert is_homogeneous(g, X, Y, eps) == (homogeneity(g, X, Y, eps).kind != "not-homogeneous")
+
+
+def test_kernel_matches_bits_loop_reference_exhaustively_on_four_vertices():
+    for g in all_graphs(4):
+        sets = range(1, 16)
+        for X in sets:
+            for Y in sets:
+                assert g.density_pair(X, Y) == reference_density_pair(g, X, Y)
+                for eps in KERNEL_EPS:
+                    assert lopsided(g, X, Y, eps) == reference_lopsided(g, X, Y, eps)
+                    kind = homogeneity(g, X, Y, eps).kind
+                    assert is_homogeneous(g, X, Y, eps) == (kind != "not-homogeneous")
+
+
+def _pair_calls(g, X, Y, eps):
+    """Every validating pair entry point, with one threshold."""
+    return [
+        lambda: homogeneity(g, X, Y, eps),
+        lambda: is_homogeneous(g, X, Y, eps),
+        lambda: special_witness(g, X, Y, eps),
+        lambda: is_special(g, X, Y, eps),
+        lambda: is_good_pair(g, X, Y, eps),
+        lambda: is_almost_good(g, X, Y, eps),
+        lambda: threshold_sets(g, X, Y, eps, eps),
+        lambda: g.density_pair(X, Y),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 64, 65])
+def test_out_of_range_and_negative_masks_raise_input_error(n):
+    g = empty_graph(n)
+    full = g.full_mask
+    bad = [1 << n, full + 1, (1 << (n + 70)) | 1, -1, -2, -(1 << n), ~full]
+    for mask in bad:
+        for X, Y in ((mask, 1), (1, mask)):
+            for call in _pair_calls(g, X, Y, F(1, 4)):
+                with pytest.raises(InputError, match="vertex set references vertices out of range"):
+                    call()
+        with pytest.raises(InputError, match="vertex set references vertices out of range"):
+            good_set_violation(g, mask, F(1, 4))
+        with pytest.raises(InputError, match="vertex set references vertices out of range"):
+            g.neighborhood(mask, 0)
+    for call in _pair_calls(g, full, full, F(1, 4)):
+        call()
+
+
+@pytest.mark.parametrize("t", [F(0), F(-1, 3), 0, -1])
+def test_nonpositive_thresholds_raise_input_error(t):
+    g = half_graph(3)
+    X, Y = mask_of(range(3)), mask_of(range(3, 6))
+    for call in _pair_calls(g, X, Y, t)[:-1]:
+        with pytest.raises(InputError, match="threshold must be positive"):
+            call()
+    with pytest.raises(InputError, match="threshold must be positive"):
+        is_good_set(g, 1, t)
+    with pytest.raises(InputError, match="threshold must be positive"):
+        is_almost_good(g, X, Y, F(1, 4), largeness=t)
+    with pytest.raises(InputError, match="threshold must be positive"):
+        excellence_report(g, X, F(1, 4), t)
+
+
+def test_float_thresholds_are_not_accepted():
+    g = half_graph(3)
+    X, Y = mask_of(range(3)), mask_of(range(3, 6))
+    for call in _pair_calls(g, X, Y, 0.25)[:-1]:
+        with pytest.raises(AttributeError):
+            call()
