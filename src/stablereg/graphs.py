@@ -434,7 +434,13 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError(f"header announces {count} edges, found {lines}")
     if bad_line is not None:
         _edge(bad_line, n)  # raises: the first line that failed it
-    return Graph(n, tuple(int.from_bytes(row, "little") for row in adj))
+    # `_or_edges` wrote both directions of every edge, and the checks above
+    # rejected self-loops and ends outside 0..n-1, so the rows are valid by
+    # construction and skip the transpose of `Graph.__post_init__`.
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", tuple(int.from_bytes(row, "little") for row in adj))
+    return g
 
 
 def _read_chunk(

@@ -55,7 +55,13 @@ def lopsided(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[int, int]:
     """(low, high): the members a of X with |E(a, Y)| < eps|Y|, and those
     with |E(a, Y)| > (1 - eps)|Y|. Inputs are not validated."""
     lo, hi = cutoffs(Y.bit_count(), eps)
-    adj = g.adj
+    return _split(g.adj, X, Y, lo, hi)
+
+
+def _split(adj: tuple[int, ...], X: int, Y: int, lo: int, hi: int) -> tuple[int, int]:
+    """`lopsided` with its bounds `cutoffs(|Y|, eps)` already resolved; the
+    predicates call it directly, so each bound is resolved once per set size
+    and call."""
     low = high = 0
     while X:
         bit = X & -X
@@ -115,7 +121,9 @@ def threshold_sets(
     """(X0, Y1) with X0 = {a in X : |E(a,Y)| < delta|Y|} and
     Y1 = {b in Y : |E(X,b)| > (1-eps)|X|}."""
     _check_pair(g, X, Y, delta, eps)
-    return lopsided(g, X, Y, delta)[0], lopsided(g, Y, X, eps)[1]
+    y_lo, y_hi = cutoffs(Y.bit_count(), delta)
+    x_lo, x_hi = cutoffs(X.bit_count(), eps)
+    return _split(g.adj, X, Y, y_lo, y_hi)[0], _split(g.adj, Y, X, x_lo, x_hi)[1]
 
 
 def _kind(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[str, int, int]:
@@ -143,7 +151,8 @@ def is_good_pair(g: Graph, X: int, Y: int, eps: Fraction) -> bool:
     """Both one-sided neighborhood fractions lopsided for every single vertex."""
     _check_pair(g, X, Y, eps)
     for A, B in ((X, Y), (Y, X)):
-        low, high = lopsided(g, A, B, eps)
+        lo, hi = cutoffs(B.bit_count(), eps)
+        low, high = _split(g.adj, A, B, lo, hi)
         if low | high != A:
             return False
     return True
@@ -157,10 +166,10 @@ def special_witness(g: Graph, X: int, Y: int, eps: Fraction) -> SpecialWitness |
     is tried first.
     """
     _check_pair(g, X, Y, eps)
-    x_hi = cutoffs(X.bit_count(), eps)[1]
-    y_hi = cutoffs(Y.bit_count(), eps)[1]
-    x_low, x_high = lopsided(g, X, Y, eps)
-    y_low, y_high = lopsided(g, Y, X, eps)
+    x_lo, x_hi = cutoffs(X.bit_count(), eps)
+    y_lo, y_hi = cutoffs(Y.bit_count(), eps)
+    x_low, x_high = _split(g.adj, X, Y, y_lo, y_hi)
+    y_low, y_high = _split(g.adj, Y, X, x_lo, x_hi)
     for Xp, Yp, side in ((x_low, y_low, "low"), (x_high, y_high, "high")):
         if Xp.bit_count() > x_hi and Yp.bit_count() > y_hi:
             return SpecialWitness(Xp, Yp, side)
@@ -184,7 +193,8 @@ def is_almost_good(
         largeness = eps
     _check_pair(g, X, Y, eps, largeness)
     for A, B in ((X, Y), (Y, X)):
-        low, high = lopsided(g, A, B, eps)
+        lo, hi = cutoffs(B.bit_count(), eps)
+        low, high = _split(g.adj, A, B, lo, hi)
         if (low | high).bit_count() <= cutoffs(A.bit_count(), largeness)[1]:
             return False
     return True
@@ -233,7 +243,8 @@ def excellence_report(
             raise InputError("candidate sets must be nonempty")
         if not is_good_set(g, Y, delta):
             continue
-        if lo <= lopsided(g, X, Y, delta)[0].bit_count() <= hi:
+        y_lo, y_hi = cutoffs(Y.bit_count(), delta)
+        if lo <= _split(g.adj, X, Y, y_lo, y_hi)[0].bit_count() <= hi:
             return ExcellenceReport(False, mode, Y)
     return ExcellenceReport(True, mode, None)
 

@@ -147,7 +147,8 @@ class Partition:
                 raise InputError("partition blocks overlap")
             union |= part
             total += part.bit_count()
-        if union != (1 << self.n) - 1 or total != self.n:
+        # the count first: it bounds n before 1 << n is built
+        if total != self.n or union != (1 << self.n) - 1:
             raise InputError("partition must cover all vertices exactly once")
 
     @property
@@ -174,11 +175,22 @@ def _json_int(v) -> int:
     return v
 
 
+def _json_mask(vertices, n: int) -> int:
+    """Mask of a JSON vertex list. Each vertex is checked against 0..n-1
+    before it is shifted, so a huge one cannot allocate a huge int."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= _json_int(v) < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+        mask |= 1 << v
+    return mask
+
+
 def partition_from_json(data: dict) -> Partition:
     try:
         n = _json_int(data["n"])
-        exceptional = mask_of(_json_int(v) for v in data["exceptional"])
-        parts = tuple(mask_of(_json_int(v) for v in block) for block in data["parts"])
+        exceptional = _json_mask(data["exceptional"], n)
+        parts = tuple(_json_mask(block, n) for block in data["parts"])
         params = dict(data.get("params", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed partition JSON: {exc}") from exc

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError
-from .graphs import Graph, bits, transpose
+from .graphs import Graph, transpose
 
 
 class Relation:
@@ -86,9 +86,19 @@ def find_relation_ladder(rel: Relation, k: int, distinct: bool = False) -> Ladde
     that variant only makes sense when both sides share a universe.
 
     The search below a state depends only on (depth, cand_v, cand_w, used),
-    so refuted states are recorded and skipped when they recur. Only dead
-    subtrees are skipped, so the DFS order and the first witness are those
-    of the plain search.
+    so refuted states are recorded and skipped when they recur.
+
+    Two counts also cut branches. With d pairs placed and r = k - d still
+    to place, v_{d+1} = v is skipped when its w-pool has fewer than r
+    members: w_{d+1..k} are all adjacent to v and to every earlier v, and
+    they are distinct (w_i = w_j with i < j would make R(v_j, w_i) both
+    false and true). Then w_{d+1} = w is skipped when cand_v & ~cols[w] has
+    fewer than r - 1 members, because v_{d+2..k} are distinct and none is
+    adjacent to w. With `distinct=True` the true pools are smaller still,
+    so both counts stay necessary.
+
+    The memo and the counts skip only dead subtrees, so the DFS order and
+    the first witness are those of the plain search.
     """
     if k < 1:
         raise InputError("ladder length must be at least 1")
@@ -117,25 +127,33 @@ class _LadderSearch:
     def extend(self, cand_v: int, cand_w: int, used: int) -> bool:
         # cand_v: non-adjacent to every chosen w; cand_w: adjacent to every chosen v.
         vs, ws, distinct = self.vs, self.ws, self.distinct
+        rows, cols = self.rows, self.cols
         state = (len(vs), cand_v, cand_w, used)
         if state in self.dead:
             return False
+        left = self.k - len(vs)  # pairs still to place, this one included
         pool_v = cand_v & ~used if distinct else cand_v
-        for v in bits(pool_v):
-            next_w = cand_w & self.rows[v]
-            pool_w = next_w & ~(used | (1 << v)) if distinct else next_w
-            if not pool_w:
+        while pool_v:
+            v_bit = pool_v & -pool_v
+            pool_v ^= v_bit
+            v = v_bit.bit_length() - 1
+            next_w = cand_w & rows[v]
+            pool_w = next_w & ~(used | v_bit) if distinct else next_w
+            if pool_w.bit_count() < left:
                 continue
             vs.append(v)
-            for w in bits(pool_w):
-                ws.append(w)
-                if len(vs) == self.k:
+            while pool_w:
+                w_bit = pool_w & -pool_w
+                pool_w ^= w_bit
+                w = w_bit.bit_length() - 1
+                if left == 1:
+                    ws.append(w)
                     return True
-                if self.extend(
-                    cand_v & ~self.cols[w],
-                    next_w,
-                    used | (1 << v) | (1 << w) if distinct else 0,
-                ):
+                next_v = cand_v & ~cols[w]
+                if next_v.bit_count() < left - 1:
+                    continue
+                ws.append(w)
+                if self.extend(next_v, next_w, used | v_bit | w_bit if distinct else 0):
                     return True
                 ws.pop()
             vs.pop()

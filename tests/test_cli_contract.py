@@ -12,12 +12,14 @@ import json
 import resource
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stablereg.cli import main
 from stablereg.errors import CapacityError, InputError
 from stablereg.graphs import parse_family
+from stablereg.partitions import partition_from_json
 
 VERDICT_COMMANDS = {"define", "partition", "verify", "group", "suite"}
 
@@ -270,6 +272,27 @@ def test_cli_contract_fuzz(tmp_path):
 def test_malformed_partition_documents_are_input_errors(tmp_path):
     path = tmp_path / "partition.json"
     for document in MALFORMED_PARTITIONS:
+        path.write_text(json.dumps(document), encoding="utf-8")
+        for command in ("refine", "verify"):
+            argv = [command, "--family", "empty(4)", "--partition", str(path), "--epsilon", "1/2", "--sigma", "1/4"]
+            code, out, err = _run(argv)
+            assert code == 2, (document, command, out, err)
+            assert json.loads(out)["error"]["kind"] == "input"
+
+
+def test_huge_partition_vertex_is_input_error(tmp_path):
+    # 1 << 10**11 takes 12.5 GB: a vertex or n shifted before its range
+    # check fails under the cap with MemoryError, not with exit 2
+    huge = 10**11
+    documents = [
+        {"n": 4, "exceptional": [], "parts": [[0, 1], [2, huge]]},
+        {"n": 4, "exceptional": [huge], "parts": [[0, 1, 2, 3]]},
+        {"n": huge, "exceptional": [], "parts": [[0, 1, 2, 3]]},
+    ]
+    path = tmp_path / "partition.json"
+    for document in documents:
+        with _memory_cap(), pytest.raises(InputError):
+            partition_from_json(document)
         path.write_text(json.dumps(document), encoding="utf-8")
         for command in ("refine", "verify"):
             argv = [command, "--family", "empty(4)", "--partition", str(path), "--epsilon", "1/2", "--sigma", "1/4"]

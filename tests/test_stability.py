@@ -216,6 +216,22 @@ def test_memoized_refutations_match_plain_dfs_on_perturbed_clique_unions():
         assert (found is not None) == ladder_exists_scan(rel, k), spec
 
 
+def test_count_prunes_match_plain_dfs_past_the_index():
+    # the count prunes cut refutations; compare both variants at index + 1
+    # and index + 2, where whole subtrees fall to them
+    rng = random.Random(8)
+    for seed in range(12):
+        sizes = [10 + rng.randint(-1, 1) for _ in range(4)]
+        spec = f"perturb(clique_union({','.join(map(str, sizes))}),5,{seed})"
+        rel = graph_relation(parse_family(spec))
+        for distinct in (False, True):
+            index = relation_ladder_index(rel, 6, distinct=distinct)
+            for k in (index, index + 1, index + 2):
+                found = find_relation_ladder(rel, k, distinct=distinct)
+                assert found == _plain_dfs(rel, k, distinct=distinct), (spec, k, distinct)
+                assert (found is None) == (k > index), (spec, k, distinct)
+
+
 def test_ladder_search_leaves_no_reference_cycle():
     # The memo of refuted states must be freed when the search returns, not
     # when the cycle collector next runs.

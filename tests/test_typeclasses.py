@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from stablereg.acceptance import _complement
 from stablereg.errors import InputError
 from stablereg.graphs import (
+    bits,
     clique_union,
     complete_graph,
     empty_graph,
@@ -12,6 +15,7 @@ from stablereg.graphs import (
     half_graph,
     mask_of,
     matching_graph,
+    perturb,
     vertex_list,
 )
 from stablereg.pairs import is_good_set
@@ -19,6 +23,9 @@ from stablereg.stability import ladder_index
 from stablereg.typeclasses import (
     DefinabilityDefect,
     DefinabilityWitnesses,
+    TypeClass,
+    TypeSpectrum,
+    _class_signature,
     definability_witnesses,
     harrington_check,
     patched_rows,
@@ -26,6 +33,7 @@ from stablereg.typeclasses import (
     type_spectrum,
 )
 from tests.test_graphs import graphs
+from tests.test_stability import all_graphs
 
 F = Fraction
 
@@ -75,6 +83,60 @@ def test_half_graph_class_count():
     for k in (1, 2, 3, 4):
         expected = 1 if k == 1 else 2 * k  # both endpoints of an edge share a class
         assert len(type_spectrum(half_graph(k)).classes) == expected
+
+
+def reference_type_spectrum(g):
+    """The pairwise construction: grow each class from the least vertex not
+    yet placed by comparing its row with every remaining row off the two
+    cells naming themselves."""
+    remaining = g.full_mask
+    classes = []
+    while remaining:
+        v = (remaining & -remaining).bit_length() - 1
+        members = 0
+        for u in bits(remaining):
+            off = ~((1 << v) | (1 << u))
+            if g.adj[v] & off == g.adj[u] & off:
+                members |= 1 << u
+        classes.append(TypeClass(_class_signature(g, members), members))
+        remaining &= ~members
+    classes.sort(key=lambda c: (-c.size, (c.members & -c.members).bit_length()))
+    return TypeSpectrum(g.n, tuple(classes))
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=300)
+def test_spectrum_matches_reference(g):
+    assert type_spectrum(g) == reference_type_spectrum(g)
+
+
+def test_spectrum_matches_reference_exhaustive():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            assert type_spectrum(g) == reference_type_spectrum(g)
+
+
+def test_spectrum_matches_reference_with_both_twin_kinds():
+    # singleton cliques leave isolated (non-adjacent) twins beside the
+    # cliques' adjacent ones; complements swap the two kinds
+    rng = random.Random(20261018)
+    mixed = 0  # graphs holding twins of both kinds
+    for _ in range(30):
+        sizes = [rng.randint(2, 40) for _ in range(rng.randint(1, 4))] + [1] * rng.randint(2, 5)
+        rng.shuffle(sizes)
+        base = clique_union(sizes)
+        g = perturb(base, rng.randint(0, 2 * base.n), rng.randrange(1000))
+        assert g.n <= 200
+        for h in (g, _complement(g)):
+            spectrum = type_spectrum(h)
+            assert spectrum == reference_type_spectrum(h)
+            kinds = set()
+            for c in spectrum.classes:
+                if c.size > 1:
+                    a, b = vertex_list(c.members)[:2]
+                    kinds.add((h.adj[a] >> b) & 1)
+            mixed += kinds == {0, 1}
+    assert mixed >= 20
 
 
 @given(graphs(max_n=9))
