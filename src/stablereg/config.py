@@ -12,6 +12,8 @@ EXCELLENT_EXHAUSTIVE_BOUND = 14
 EXACT_PARTITION_BOUND = 12
 # Largest group order accepted for subgroup enumeration.
 GROUP_ORDER_BOUND = 128
+# Most search-step calls (nodes) one ladder search may make.
+LADDER_NODE_BUDGET = 200_000
 # Largest vertex count of a graph built from a family or an edge list; the
 # packed adjacency of a graph at the bound takes n^2/8 = 50 MB. Fixed: no
 # environment variable overrides it.
@@ -21,17 +23,19 @@ _ENV_NAMES = {
     "excellent": "STABLEREG_EXCELLENT_BOUND",
     "partition": "STABLEREG_PARTITION_BOUND",
     "group": "STABLEREG_GROUP_BOUND",
+    "ladder": "STABLEREG_LADDER_BUDGET",
 }
 
 _DEFAULTS = {
     "excellent": EXCELLENT_EXHAUSTIVE_BOUND,
     "partition": EXACT_PARTITION_BOUND,
     "group": GROUP_ORDER_BOUND,
+    "ladder": LADDER_NODE_BUDGET,
 }
 
 
 def capacity_bound(kind: str) -> int:
-    """Configured bound for `kind` in {excellent, partition, group}."""
+    """Configured bound for `kind` in {excellent, partition, group, ladder}."""
     name = _ENV_NAMES[kind]
     env = os.environ.get(name)
     if env is None:

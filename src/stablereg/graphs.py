@@ -70,6 +70,39 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(packed[b].tobytes(), "little") for b in range(width))
 
 
+def twin_classes(adj: Sequence[int]) -> tuple[int, ...]:
+    """Per-vertex twin class masks of a symmetric irreflexive adjacency.
+
+    Distinct u, v are twins when their rows agree everywhere off the two
+    cells naming themselves. They are found by hashing rows, not comparing
+    pairs: u, v are twins iff adj[u] == adj[v] (non-adjacent twins: the rows
+    have no self cells, so equal rows leave u, v non-adjacent, and
+    non-adjacent rows agreeing off {u, v} agree on u and v too) or
+    adj[u] | 1<<u == adj[v] | 1<<v (adjacent twins: both closed rows hold u
+    and v exactly when u and v are adjacent). No vertex has twins of both
+    kinds: were v a non-adjacent and w an adjacent twin of u, then w would
+    not see v (the rows of u and w agree at v, and u does not see v) while v
+    would see w (the rows of u and v agree at w, and u sees w). So entry v
+    is v's group of equal open rows if that group has a second member, and
+    its group of equal closed rows otherwise; either way it holds v, and
+    the entries partition the vertices.
+    """
+    open_rows: dict[int, int] = {}
+    closed_rows: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        open_rows[row] = open_rows.get(row, 0) | bit
+        closed_rows[row | bit] = closed_rows.get(row | bit, 0) | bit
+    classes = []
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        members = open_rows[row]
+        if members == bit:
+            members = closed_rows[row | bit]
+        classes.append(members)
+    return tuple(classes)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected irreflexive graph; `adj[v]` is the neighborhood bitmask.

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InputError
-from .graphs import Graph, transpose
+from . import config
+from .errors import CapacityError, InputError
+from .graphs import Graph, transpose, twin_classes
 
 
 class Relation:
@@ -33,7 +34,7 @@ class Relation:
     O(256 * nw) bytes; `graph_relation` reuses a graph's rows instead.
     """
 
-    __slots__ = ("nv", "nw", "rows", "cols")
+    __slots__ = ("nv", "nw", "rows", "cols", "_twins")
 
     def __init__(self, nv: int, nw: int, rows: tuple[int, ...]):
         if nv <= 0 or nw <= 0:
@@ -48,6 +49,21 @@ class Relation:
         self.nw = nw
         self.rows = tuple(rows)
         self.cols = transpose(self.rows, nw)
+        self._twins = None
+
+    def twins(self) -> tuple[int, ...]:
+        """Per-element masks the ladder search drops together, computed once.
+
+        For a graph relation, whose rows are its columns, these are the twin
+        classes of `graphs.twin_classes`. Any other relation gets one
+        singleton per element, so dropping a class drops nothing more.
+        """
+        if self._twins is None:
+            if self.rows is self.cols:
+                self._twins = twin_classes(self.rows)
+            else:
+                self._twins = tuple(1 << a for a in range(max(self.nv, self.nw)))
+        return self._twins
 
 
 def graph_relation(g: Graph) -> Relation:
@@ -59,6 +75,7 @@ def graph_relation(g: Graph) -> Relation:
     rel = object.__new__(Relation)
     rel.nv = rel.nw = g.n
     rel.rows = rel.cols = g.adj
+    rel._twins = None
     return rel
 
 
@@ -97,12 +114,44 @@ def find_relation_ladder(rel: Relation, k: int, distinct: bool = False) -> Ladde
     adjacent to w. With `distinct=True` the true pools are smaller still,
     so both counts stay necessary.
 
-    The memo and the counts skip only dead subtrees, so the DFS order and
-    the first witness are those of the plain search.
+    On a graph relation (`graph_relation`, whose rows are its columns) a
+    dead candidate also takes its twins with it (`graphs.twin_classes`:
+    rows equal off the two cells naming themselves). Once v's subtree is
+    dead, by the count or because every w below it failed, v's twins leave
+    the rest of pool_v; once w's is dead, w's twins leave pool_w. Let x, x'
+    be twins both still in the pool. The transposition (x x') is a graph
+    automorphism, and it fixes the state the candidate extends:
+
+    * For v_{d+1} in {x, x'}: no earlier v_j is x or x', since v_j left
+      cand_v when its neighbour w_j was chosen, so cand_w, the common
+      neighbourhood of the earlier v's, is fixed. An earlier w_i is x only
+      if x and x' are non-adjacent twins (x' is in cand_v, so it is not
+      adjacent to w_i), and those have equal neighbourhoods; so cand_v,
+      the common non-neighbourhood of the earlier w's, is fixed.
+    * For w_{d+1} in {x, x'}: v_1..v_{d+1} are all adjacent to x and x',
+      so none is x or x', and next_w is fixed. No earlier w_i is in next_w,
+      since v_{d+1} comes after w_i and so is not adjacent to it; so
+      cand_v is fixed.
+    * With `distinct=True`, used (with v_{d+1}) holds neither x nor x', as
+      both are in the pool.
+
+    So x''s subtree is the image of x's and is dead too. Other relations
+    search exactly as without this rule. The classes are built once per
+    relation (`Relation.twins`), when a recursive call first fails, so a
+    search that never backs out of a call, such as an index scan on a
+    large graph that finds each ladder at once, does not build them.
+
+    The memo, the counts and the twin rule skip only dead subtrees, so the
+    DFS order and the first witness are those of the plain search.
+
+    Each call of the search step is one node. A search that needs more
+    nodes than `config.capacity_bound("ladder")` (`STABLEREG_LADDER_BUDGET`)
+    raises CapacityError; this also bounds the memo, which gains at most one
+    state per node.
     """
     if k < 1:
         raise InputError("ladder length must be at least 1")
-    search = _LadderSearch(rel, k, distinct)
+    search = _LadderSearch(rel, k, distinct, config.capacity_bound("ladder"))
     if search.extend((1 << rel.nv) - 1, (1 << rel.nw) - 1, 0):
         return Ladder(tuple(search.vs), tuple(search.ws))
     return None
@@ -113,21 +162,30 @@ class _LadderSearch:
     than a self-referencing closure, so the memo of refuted states is freed
     by reference counting when the call returns."""
 
-    __slots__ = ("rows", "cols", "k", "distinct", "vs", "ws", "dead")
+    __slots__ = ("rel", "rows", "cols", "k", "distinct", "budget", "nodes", "vs", "ws", "dead")
 
-    def __init__(self, rel: Relation, k: int, distinct: bool):
+    def __init__(self, rel: Relation, k: int, distinct: bool, budget: int):
+        self.rel = rel
         self.rows = rel.rows
         self.cols = rel.cols
         self.k = k
         self.distinct = distinct
+        self.budget = budget
+        self.nodes = 0
         self.vs: list[int] = []
         self.ws: list[int] = []
         self.dead: set[tuple[int, int, int, int]] = set()
 
     def extend(self, cand_v: int, cand_w: int, used: int) -> bool:
         # cand_v: non-adjacent to every chosen w; cand_w: adjacent to every chosen v.
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise CapacityError(
+                f"ladder search of length {self.k} spent {self.nodes} nodes; "
+                f"the node budget is {self.budget} (STABLEREG_LADDER_BUDGET)"
+            )
         vs, ws, distinct = self.vs, self.ws, self.distinct
-        rows, cols = self.rows, self.cols
+        rows, cols, twins = self.rows, self.cols, self.rel._twins  # None until a call fails
         state = (len(vs), cand_v, cand_w, used)
         if state in self.dead:
             return False
@@ -139,24 +197,28 @@ class _LadderSearch:
             v = v_bit.bit_length() - 1
             next_w = cand_w & rows[v]
             pool_w = next_w & ~(used | v_bit) if distinct else next_w
-            if pool_w.bit_count() < left:
-                continue
-            vs.append(v)
-            while pool_w:
-                w_bit = pool_w & -pool_w
-                pool_w ^= w_bit
-                w = w_bit.bit_length() - 1
-                if left == 1:
-                    ws.append(w)
-                    return True
-                next_v = cand_v & ~cols[w]
-                if next_v.bit_count() < left - 1:
-                    continue
-                ws.append(w)
-                if self.extend(next_v, next_w, used | v_bit | w_bit if distinct else 0):
-                    return True
-                ws.pop()
-            vs.pop()
+            if pool_w.bit_count() >= left:
+                vs.append(v)
+                while pool_w:
+                    w_bit = pool_w & -pool_w
+                    pool_w ^= w_bit
+                    w = w_bit.bit_length() - 1
+                    if left == 1:
+                        ws.append(w)
+                        return True
+                    next_v = cand_v & ~cols[w]
+                    if next_v.bit_count() >= left - 1:
+                        ws.append(w)
+                        if self.extend(next_v, next_w, used | v_bit | w_bit if distinct else 0):
+                            return True
+                        ws.pop()
+                        if twins is None:
+                            twins = self.rel.twins()
+                    if twins is not None:
+                        pool_w &= ~twins[w]
+                vs.pop()
+            if twins is not None:
+                pool_v &= ~twins[v]
         self.dead.add(state)
         return False
 

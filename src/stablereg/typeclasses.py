@@ -6,17 +6,8 @@ equivalence. Each class carries a signature mask: the common answer to
 "adjacent to b?" for every parameter b, with a member's own cell answered by
 the remaining members (a clique pair's signature covers both endpoints).
 
-The classes come from hashing rows, not from comparing pairs. Distinct u, v
-share a class iff adj[u] == adj[v] (non-adjacent twins: the rows have no
-self cells, so equal rows leave u, v non-adjacent, and non-adjacent rows
-agreeing off {u, v} agree on u and v too) or adj[u] | 1<<u == adj[v] | 1<<v
-(adjacent twins: both closed rows hold u and v exactly when u and v are
-adjacent). No vertex has twins of both kinds: were v a non-adjacent and w
-an adjacent twin of u, then w would not see v (the rows of u and w agree at
-v, and u does not see v) while v would see w (the rows of u and v agree at
-w, and u sees w). So a vertex's class is its group of equal open rows if
-that group has a second member, and its group of equal closed rows
-otherwise.
+The classes are the twin classes of `graphs.twin_classes`, which finds them
+by hashing open and closed rows, not by comparing pairs.
 
 Definability runs on the *class-patched* adjacency: vertex a answers
 parameter a itself by its own class's signature bit, and every other
@@ -34,7 +25,7 @@ from fractions import Fraction
 from random import Random
 
 from .errors import InputError
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, mask_of, twin_classes
 from .rng import derive_rng, derive_seed
 from .stability import Ladder, Relation, find_relation_ladder
 
@@ -69,20 +60,11 @@ class TypeSpectrum:
 def type_spectrum(g: Graph) -> TypeSpectrum:
     """Partition of V into type classes, ordered by decreasing mass then
     least member."""
-    open_rows: dict[int, int] = {}
-    closed_rows: dict[int, int] = {}
-    for v, row in enumerate(g.adj):
-        bit = 1 << v
-        open_rows[row] = open_rows.get(row, 0) | bit
-        closed_rows[row | bit] = closed_rows.get(row | bit, 0) | bit
-    classes: list[TypeClass] = []
-    for v, row in enumerate(g.adj):
-        bit = 1 << v
-        members = open_rows[row]
-        if members == bit:
-            members = closed_rows[row | bit]
-        if members & -members == bit:  # each class once, at its least member
-            classes.append(TypeClass(_class_signature(g, members), members))
+    classes = [
+        TypeClass(_class_signature(g, members), members)
+        for v, members in enumerate(twin_classes(g.adj))
+        if members & -members == 1 << v  # each class once, at its least member
+    ]
     classes.sort(key=lambda c: (-c.size, (c.members & -c.members).bit_length()))
     return TypeSpectrum(g.n, tuple(classes))
 

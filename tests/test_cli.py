@@ -224,6 +224,19 @@ def test_capacity_env_not_integer_is_input_error(capsys, monkeypatch):
     assert "STABLEREG_EXCELLENT_BOUND" in payload["error"]["reason"]
 
 
+def test_ladder_budget_is_capacity_error(capsys, monkeypatch):
+    monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "1")
+    code, payload = run_json(capsys, "stability", "--family", "half_graph(3)", "--cap", "3")
+    assert code == 3 and payload["error"]["kind"] == "capacity"
+    assert payload["error"]["reason"] == (
+        "ladder search of length 2 spent 2 nodes; the node budget is 1 (STABLEREG_LADDER_BUDGET)"
+    )
+    monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "abc")
+    code, payload = run_json(capsys, "stability", "--family", "half_graph(3)")
+    assert code == 2 and payload["error"]["kind"] == "input"
+    assert "STABLEREG_LADDER_BUDGET" in payload["error"]["reason"]
+
+
 def test_group_non_integer_cells_are_input_errors(capsys, tmp_path):
     tables = {
         "string_cell": [[0, 1], [1, "x"]],

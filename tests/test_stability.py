@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablereg.errors import InputError
+from stablereg.acceptance import _complement
+from stablereg.errors import CapacityError, InputError
 from stablereg.graphs import (
     Graph,
     bits,
@@ -18,6 +19,7 @@ from stablereg.graphs import (
     parse_family,
     perturb,
     transpose,
+    twin_classes,
 )
 from stablereg.stability import (
     Ladder,
@@ -255,3 +257,86 @@ def test_graph_relation_columns_are_rows():
         rel = graph_relation(g)
         assert rel.cols == transpose(g.adj, g.n)
         assert (rel.nv, rel.nw, rel.rows) == (g.n, g.n, g.adj)
+
+
+def _blow_up(rng):
+    """A random graph on 4-6 vertices with each vertex blown up into a clique
+    or an independent set of 1-5 twins."""
+    m = rng.randint(4, 6)
+    quotient = [[u != v and rng.random() < 0.5 for v in range(m)] for u in range(m)]
+    for u in range(m):
+        for v in range(u):
+            quotient[u][v] = quotient[v][u]
+    block = [b for b in range(m) for _ in range(rng.randint(1, 5))]
+    clique = [rng.random() < 0.5 for _ in range(m)]
+    rows = [
+        sum(
+            1 << b
+            for b, y in enumerate(block)
+            if a != b and (quotient[x][y] or (x == y and clique[x]))
+        )
+        for a, x in enumerate(block)
+    ]
+    return Graph(len(block), tuple(rows))
+
+
+def _twin_rich_graphs():
+    rng = random.Random(9)
+    for seed in range(8):
+        sizes = [rng.randint(3, 9) for _ in range(rng.randint(2, 4))] + [1, 1]
+        g = perturb(clique_union(sizes), rng.randint(1, 4), seed)
+        yield g
+        yield _complement(g)
+    for _ in range(16):
+        yield _blow_up(rng)
+
+
+def test_twin_pruned_search_matches_plain_dfs_on_all_small_graphs():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            rel = graph_relation(g)
+            for k in range(1, 5):
+                for distinct in (True, False):
+                    found = find_relation_ladder(rel, k, distinct=distinct)
+                    assert found == _plain_dfs(rel, k, distinct=distinct), (g.adj, k, distinct)
+                assert (found is not None) == ladder_exists_scan(rel, k), (g.adj, k)
+
+
+def test_twin_pruned_search_matches_plain_dfs_on_twin_rich_graphs():
+    # perturbed clique unions with singleton cliques, their complements and
+    # blow-ups hold twins of both kinds; compare at the index and past it
+    kinds = set()
+    for g in _twin_rich_graphs():
+        rel = graph_relation(g)
+        for members in twin_classes(g.adj):
+            if members.bit_count() > 1:
+                v = (members & -members).bit_length() - 1
+                kinds.add((g.adj[v] & members).bit_count() > 0)
+        for distinct in (False, True):
+            index = relation_ladder_index(rel, g.n, distinct=distinct)
+            for k in (index, index + 1, index + 2):
+                found = find_relation_ladder(rel, k, distinct=distinct)
+                assert found == _plain_dfs(rel, k, distinct=distinct), (g.adj, k, distinct)
+                assert (found is None) == (k > index)
+                if not distinct:
+                    assert (found is not None) == ladder_exists_scan(rel, k), (g.adj, k)
+    assert kinds == {False, True}
+
+
+def test_twin_prune_keeps_a_refutation_under_budget(monkeypatch):
+    # The pruned refutation at index + 1 takes 193 nodes; the same rows as a
+    # plain Relation, which has no twin rule, take 7,579.
+    g = parse_family("perturb(clique_union(10,10,10,10),5,1)")
+    rel = graph_relation(g)
+    k = relation_ladder_index(rel, 8) + 1
+    monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "1000")
+    assert find_relation_ladder(rel, k) is None
+    with pytest.raises(CapacityError, match="spent 1001 nodes; the node budget is 1000 "):
+        find_relation_ladder(Relation(g.n, g.n, g.adj), k)
+
+
+def test_ladder_budget_of_one_node(monkeypatch):
+    monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "1")
+    assert find_ladder(half_graph(3), 1) == Ladder((0,), (3,))
+    with pytest.raises(CapacityError, match="length 2 spent 2 nodes; the node budget is 1 "):
+        find_ladder(half_graph(3), 2)
