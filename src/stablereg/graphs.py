@@ -210,21 +210,13 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     _check_order(n)
     rows = [0] * n
     for u, v in edges:
-        fault = _edge_fault(u, v, n)
-        if fault:
-            raise InputError(fault)
+        if u == v:
+            raise InputError(f"self-loop {u} {u} rejected")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge {u} {v} out of range for n={n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
-
-
-def _edge_fault(u: int, v: int, n: int) -> str | None:
-    """The message for an edge that is a self-loop or leaves 0..n-1."""
-    if u == v:
-        return f"self-loop {u} {u} rejected"
-    if not (0 <= u < n and 0 <= v < n):
-        return f"edge {u} {v} out of range for n={n}"
-    return None
 
 
 def _check_order(n: int) -> None:
@@ -397,28 +389,26 @@ def _int_token(token: str) -> int:
 # Edge-list text format: first line "n <count>", then one "u v" line per edge.
 # Duplicate and reversed pairs are idempotent; self-loops are rejected.
 #
-# The format is defined line by line: the non-empty lines of
-# `text.splitlines()` after `strip()`, each `split()` into tokens that
-# `int()` reads. The header line is read that way. The body is read by one
-# numpy kernel in chunks of about 128 KiB, each cut just after a line break;
-# a cut can only split a "\r\n" pair, which adds a blank line, and blank
-# lines are dropped. Per chunk, byte tables over ASCII built from
-# `str.isspace` and `str.splitlines` mark whitespace and line breaks; token
-# starts, placed among the breaks by `searchsorted`, give each line's token
-# count. A line of two tokens of at most 18 ASCII digits is plain:
-# `np.fromstring(sep=" ")` reads such tokens as `int()` does, within int64,
-# and plain lines are checked for self-loops and range as whole arrays. Any
-# other non-empty line (a sign, an underscore, a long or foreign token, a
-# wrong token count) and any faulty plain line goes through the one-line
-# check `_edge`, which reads it as `int()` would or words the error of the
-# first failing line. Non-ASCII text is first mapped one character to one
-# onto what `split()`, `splitlines()` and `int()` see, so offsets still
-# name the original lines. Scratch is O(chunk) arrays plus the
-# n x ceil(n/8) packed adjacency: O(chunk + n^2/8) bytes.
+# The format is defined by the line reader `_read_lines`: the non-empty lines
+# of `text.splitlines()` after `strip()`, each `split()` into tokens that
+# `int()` reads. It checks the header, then the edge count, then each edge in
+# order through `from_edges`, so the first failing check words the error.
+#
+# ASCII text takes a faster path first. Its header line, up to the first line
+# break after the first non-space character, goes through the same `_header`.
+# The body is cut into chunks of about 128 KiB, each just after a line break;
+# a cut can only split a "\r\n" pair, which adds a blank line, and blank lines
+# are dropped. One numpy kernel, `_plain_edges`, takes a chunk only when every
+# non-empty line in it is two tokens of at most 18 ASCII digits naming an
+# in-range edge that is not a self-loop; `np.fromstring` reads such tokens as
+# `int()` does, within int64. Non-ASCII text, any other chunk and a wrong edge
+# count send the whole text to the line reader, which returns its graph or
+# its error. Edge lists as `to_edge_list` writes them never leave the kernel.
+# Its scratch is O(chunk) arrays plus the n x ceil(n/8) packed adjacency.
 
-# Chunk size in characters. A chunk's arrays take about 20 bytes per
-# character: 128 KiB keeps them near 2.5 MiB and in cache, where 1 MiB
-# chunks add some 20 MiB of peak RSS and run no faster.
+# Chunk size in characters. A chunk's arrays peak at about 13 bytes per
+# character: 128 KiB keeps them near 1.7 MiB and in cache, and 1 MiB
+# chunks run no faster.
 _CHUNK = 1 << 17
 # Longest digit run that int64 holds whatever the digits: 10**18 < 2**63.
 _PLAIN_DIGITS = 18
@@ -431,43 +421,32 @@ _NON_SPACE = re.compile(f"[^{re.escape(_SPACES)}]")
 
 # Byte tables for `bytes.translate`, which is about 6x faster than a numpy
 # gather. It takes 256 entries; the text is ASCII, so only 128 are read.
-_DIGIT, _OTHER, _SPACE, _BREAK = range(4)  # whitespace is code >= _SPACE
+_DIGIT, _OTHER, _SPACE, _BREAK = range(4)
 _CLASS = bytes(
     _BREAK if ch in _BREAKS else _SPACE if ch in _SPACES else _DIGIT if ch.isdigit() else _OTHER
     for ch in _ASCII
 ).ljust(256, bytes([_OTHER]))
-_SPACED = bytes(ord(" ") if ch in _SPACES else ord(ch) for ch in _ASCII).ljust(256, b"?")
+_SPACED = bytes.maketrans(_SPACES.encode(), b" " * len(_SPACES))
 
 
 def parse_edge_list(text: str) -> Graph:
-    seen = _ascii_image(text)
-    first = _NON_SPACE.search(seen)
+    first = _NON_SPACE.search(text) if text.isascii() else None
     if first is None:
-        raise InputError("empty edge-list input")
-    stop = _line_end(seen, first.start())
-    head = text[first.start() : stop].split()
-    if len(head) != 2:
-        raise InputError('edge-list header must be "n <count>"')
-    try:
-        n, count = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise InputError("edge-list header must contain two integers") from exc
-    if n <= 0:
-        raise InputError("vertex count must be positive")
-    _check_order(n)
+        return _read_lines(text)
+    stop = _line_end(text, first.start())
+    n, count = _header(text[first.start() : stop])
     adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # bit v of row u at byte v // 8
     lines = 0
-    bad_line = None
-    while stop < len(seen):
-        start, stop = stop, _line_end(seen, stop + _CHUNK)
-        found, bad = _read_chunk(seen, text, start, stop, n, adj if bad_line is None else None)
-        lines += found
-        bad_line = bad_line or bad
+    while stop < len(text):
+        start, stop = stop, _line_end(text, stop + _CHUNK)
+        edges = _plain_edges(text[start:stop].encode("ascii"), n)
+        if edges is None:
+            return _read_lines(text)
+        _or_edges(adj, *edges)
+        lines += len(edges[0])
     if count != lines:
-        raise InputError(f"header announces {count} edges, found {lines}")
-    if bad_line is not None:
-        _edge(bad_line, n)  # raises: the first line that failed it
-    # `_or_edges` wrote both directions of every edge, and the checks above
+        return _read_lines(text)
+    # `_or_edges` wrote both directions of every edge, and `_plain_edges`
     # rejected self-loops and ends outside 0..n-1, so the rows are valid by
     # construction and skip the transpose of `Graph.__post_init__`.
     g = object.__new__(Graph)
@@ -476,59 +455,34 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
-def _read_chunk(
-    seen: str, text: str, start: int, stop: int, n: int, adj: np.ndarray | None
-) -> tuple[int, str | None]:
-    """Non-empty line count of text[start:stop] and its first bad line.
+def _plain_edges(raw: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Edge ends (u, v) of an ASCII chunk whose non-empty lines are all plain.
 
-    The chunk's edges are ORed into `adj`, unless it is None (an earlier bad
-    line already decides the result) or the chunk has a bad line.
+    A plain line is two tokens of at most 18 digits naming an edge of
+    0..n-1 that is not a self-loop. Any other non-empty line gives None.
     """
-    raw = seen[start:stop].encode("ascii")
     codes = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
-    breaks = np.flatnonzero(codes == _BREAK)
-    solid = np.zeros(len(raw) + 2, dtype=bool)
-    solid[1:-1] = codes < _SPACE
-    starts, ends = np.flatnonzero(solid[1:] != solid[:-1]).reshape(-1, 2).T
-    # Line L is raw[bounds[L] + 1 : bounds[L + 1]]; no token starts at a bound.
-    bounds = np.concatenate(([-1], breaks, [len(raw)]))
-    tokens = np.diff(np.searchsorted(starts, bounds))
-    live = np.flatnonzero(tokens)
-    if adj is None:
-        return len(live), None
-
-    odd = np.zeros(len(tokens), dtype=bool)
-    odd[np.searchsorted(breaks, np.flatnonzero(codes == _OTHER))] = True
-    odd[np.searchsorted(breaks, starts[ends - starts > _PLAIN_DIGITS])] = True
-    plain = (tokens == 2) & ~odd
-    digits = np.frombuffer(raw.translate(_SPACED), dtype=np.uint8)
-    blank = np.repeat(~plain, tokens)  # per token: its line is not plain
-    if blank.any():  # leave only the plain lines' tokens to fromstring
-        digits = digits.copy()
-        fill = np.zeros(len(raw) + 1, dtype=np.int8)
-        fill[starts[blank]] = 1
-        fill[ends[blank]] = -1
-        digits[np.cumsum(fill[:-1], dtype=np.int8).view(bool)] = ord(" ")
-    values = np.fromstring(digits, dtype=np.int64, sep=" ")
-
-    plain = plain[live]
-    u = np.zeros(len(live), dtype=np.int64)
-    v = np.zeros(len(live), dtype=np.int64)
-    u[plain], v[plain] = values[0::2], values[1::2]
-    for i in np.flatnonzero(~plain | _edge_faults(u, v, n)):
-        at = live[i]
-        line = text[start + bounds[at] + 1 : start + bounds[at + 1]].strip()
-        try:
-            u[i], v[i] = _edge(line, n)
-        except InputError:
-            return len(live), line
-    _or_edges(adj, u, v)
-    return len(live), None
-
-
-def _edge_faults(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Array form of `_edge_fault`: True where the edge has a message."""
-    return (u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n)
+    if (codes == _OTHER).any():
+        return None
+    digit = np.zeros(len(raw) + 2, dtype=bool)
+    digit[1:-1] = codes == _DIGIT
+    starts, ends = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
+    line = np.searchsorted(np.flatnonzero(codes == _BREAK), starts)  # per token
+    # tokens 2i and 2i + 1 share a line, and that line holds no other token
+    if (
+        len(starts) % 2
+        or (ends - starts > _PLAIN_DIGITS).any()
+        or (line[0::2] != line[1::2]).any()
+        or (line[2::2] == line[1:-1:2]).any()
+    ):
+        return None
+    if not len(starts):  # np.fromstring would read a blank chunk as [0]
+        return starts, starts
+    values = np.fromstring(raw.translate(_SPACED), dtype=np.int64, sep=" ")
+    u, v = values[0::2], values[1::2]
+    if ((u == v) | (u >= n) | (v >= n)).any():
+        return None
+    return u, v
 
 
 def _or_edges(adj: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
@@ -539,43 +493,46 @@ def _or_edges(adj: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     np.bitwise_or.at(adj.reshape(-1), cells, masks)
 
 
-def _line_end(seen: str, pos: int) -> int:
-    """Offset just past the first line break at or after pos, else len(seen)."""
-    found = _LINE_BREAK.search(seen, pos)
-    return found.end() if found else len(seen)
+def _line_end(text: str, pos: int) -> int:
+    """Offset just past the first line break at or after pos, else len(text)."""
+    found = _LINE_BREAK.search(text, pos)
+    return found.end() if found else len(text)
 
 
-def _ascii_image(text: str) -> str:
-    """`text` with each non-ASCII character replaced by an ASCII one that
-    `split()`, `splitlines()` and `int()` treat alike: a line break, a
-    space, the value of a Unicode decimal digit, or "?" for anything else."""
-    if text.isascii():
-        return text
-    return text.translate({ord(ch): _ascii_stand_in(ch) for ch in set(text) if not ch.isascii()})
+def _read_lines(text: str) -> Graph:
+    """The line reader that defines the format: a graph or the first error."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    if not lines:
+        raise InputError("empty edge-list input")
+    n, count = _header(lines[0])
+    if count != len(lines) - 1:
+        raise InputError(f"header announces {count} edges, found {len(lines) - 1}")
+    return from_edges(n, map(_edge, lines[1:]))
 
 
-def _ascii_stand_in(ch: str) -> str:
-    if ch.splitlines() == [""]:
-        return "\n"
-    if ch.isspace():
-        return " "
-    if ch.isdecimal():
-        return str(int(ch))
-    return "?"
+def _header(line: str) -> tuple[int, int]:
+    """(n, count) of the header line; n is held to the vertex bound."""
+    head = line.split()
+    if len(head) != 2:
+        raise InputError('edge-list header must be "n <count>"')
+    try:
+        n, count = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise InputError("edge-list header must contain two integers") from exc
+    if n <= 0:
+        raise InputError("vertex count must be positive")
+    _check_order(n)
+    return n, count
 
 
-def _edge(line: str, n: int) -> tuple[int, int]:
+def _edge(line: str) -> tuple[int, int]:
     parts = line.split()
     if len(parts) != 2:
         raise InputError(f"bad edge line: {line!r}")
     try:
-        u, v = int(parts[0]), int(parts[1])
+        return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise InputError(f"bad edge line: {line!r}") from exc
-    fault = _edge_fault(u, v, n)
-    if fault:
-        raise InputError(fault)
-    return u, v
 
 
 def to_edge_list(g: Graph) -> str:

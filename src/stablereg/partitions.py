@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -77,14 +78,18 @@ class ErrorFunction:
         return all(self.table[i] >= self.table[i + 1] for i in range(last))
 
     def running_minimum(self, upto: int) -> "ErrorFunction":
-        """Pointwise running minimum on 0..upto, as a table with constant tail."""
-        values: list[Fraction] = []
-        cur: Fraction | None = None
-        for i in range(upto + 1):
-            v = self(i)
-            cur = v if cur is None or v < cur else cur
-            values.append(cur)
-        return ErrorFunction("table", table=tuple(values))
+        """Pointwise running minimum on 0..upto, as a table with constant tail.
+
+        A table is constant from its last entry on, so its running minimum
+        is the prefix minima of its first min(upto, len(table) - 1) + 1
+        entries, however large upto is; other forms are evaluated at every
+        point of 0..upto.
+        """
+        if self.kind == "table":
+            values = self.table[: min(upto, len(self.table) - 1) + 1]
+        else:
+            values = tuple(self(i) for i in range(upto + 1))
+        return ErrorFunction("table", table=tuple(accumulate(values, min)))
 
     def describe(self) -> str:
         if self.kind == "table":
@@ -625,10 +630,11 @@ def regularity_pipeline(g: Graph, eps: Fraction, sigma: ErrorFunction) -> Pipeli
     fail are split into singletons (always good at any positive threshold)
     and the gate re-runs at the grown part count until it stabilizes, so the
     refinement precondition holds on every input; the raw first-try outcome
-    is reported for auditability.
+    is reported for auditability. It is the gate's first round, on the base
+    parts at tau(base.m), together with the exceptional-mass test: exactly
+    what `check_refine_precondition` decides for the base.
     """
     base = type_mass_partition(g, eps / 2)
-    raw_ok, _ = check_refine_precondition(g, base, eps, sigma)
     mono_sigma = _monotone(sigma, g.n, eps)[0]
 
     parts = list(base.parts)
@@ -647,6 +653,8 @@ def regularity_pipeline(g: Graph, eps: Fraction, sigma: ErrorFunction) -> Pipeli
                 new_parts.append(part)
         parts = new_parts
 
+    # the first round split nothing exactly when split_log is empty
+    raw_ok = not split_log and base.exceptional_fraction() < eps / 2
     repaired = Partition(
         g.n,
         base.exceptional,

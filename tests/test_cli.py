@@ -125,6 +125,22 @@ def test_partition_refine_verify_round_trip(capsys, tmp_path):
     assert code == 0 and payload["pass"] is True
 
 
+def test_refine_with_rising_table_sigma_on_many_parts(capsys, tmp_path):
+    # N = 2 m^2 / eps is 16 M here: the running minimum reads the two table
+    # entries, not sigma at every point up to N
+    base_file = tmp_path / "singletons.json"
+    base_file.write_text(json.dumps({"n": 2000, "exceptional": [], "parts": [[v] for v in range(2000)]}))
+    code, payload = run_json(
+        capsys, "refine", "--family", "empty(2000)", "--partition", str(base_file),
+        "--epsilon", "1/2", "--sigma", "table(1/4,1/2)",
+    )
+    assert code == 0
+    params = payload["partition"]["params"]
+    assert params["sigma"] == "table(1/4,1/4)"
+    assert params["sigma_monotonized"] == "True"
+    assert params["n"] == "2000"
+
+
 def test_verify_failure_exit_code(capsys, tmp_path):
     part_file = tmp_path / "p.json"
     part_file.write_text(json.dumps({"n": 8, "exceptional": [], "parts": [list(range(8))]}))

@@ -445,6 +445,67 @@ def test_edge_list_round_trip_past_one_chunk():
     assert parse_edge_list(text) == g
 
 
+def _line_reader_spy(monkeypatch):
+    """Count the calls of the line reader, which still reads the text."""
+    calls = []
+    read_lines = graphs_module._read_lines
+
+    def spy(text):
+        calls.append(len(text))
+        return read_lines(text)
+
+    monkeypatch.setattr(graphs_module, "_read_lines", spy)
+    return calls
+
+
+def _kernel_texts(g):
+    text = to_edge_list(g)
+    return text, text.replace("\n", "\r\n").replace(" ", "\t")
+
+
+def test_plain_edge_lists_stay_in_the_kernel(monkeypatch):
+    def refuse(text):
+        raise AssertionError("the line reader was reached")
+
+    monkeypatch.setattr(graphs_module, "_read_lines", refuse)
+    g = perturb(clique_union([200, 200, 200]), 100, 5)
+    for text in _kernel_texts(g):
+        assert len(text) > 3 * graphs_module._CHUNK
+        assert parse_edge_list(text) == g
+    small = parse_family("perturb(clique_union(9,8,7),30,3)")
+    for chunk in (1, 2, 7, 64):
+        monkeypatch.setattr(graphs_module, "_CHUNK", chunk)
+        for text in _kernel_texts(small):
+            assert parse_edge_list(text) == small
+
+
+def test_other_spellings_and_faults_reach_the_line_reader(monkeypatch):
+    g = parse_family("perturb(clique_union(9,8,7),30,3)")
+    text = to_edge_list(g)
+    u, v = g.edges()[-1]
+    variants = [
+        text.replace(f"\n{u} {v}\n", f"\n+{u} {v}\n"),  # one signed token
+        text.replace(f"\n{u} {v}\n", f"\n{u}　{v}\n"),  # one non-ASCII space
+        text.replace(f"\n{u} {v}\n", f"\n{u} ٣\n"),  # one non-ASCII digit
+        text.replace(f"\n{u} {v}\n", f"\n{u} {u}\n"),  # one self-loop
+        text.replace(f"\n{u} {v}\n", f"\n{u} {g.n}\n"),  # one edge out of range
+        text.replace(f"\n{u} {v}\n", f"\n{u}\n{v}\n"),  # one edge split over two lines
+        text.replace(f"\n{u} {v}\n", f"\n{u} {v} 1\n"),  # one line of three tokens
+        # one line of four tokens, under a header that counts token pairs
+        text.replace(f"\n{u} {v}\n", f"\n{u} {v} {u} {v}\n").replace(
+            f"{g.n} {g.edge_count()}\n", f"{g.n} {g.edge_count() + 1}\n", 1
+        ),
+        text + "0 1\n",  # one edge more than the header announces
+    ]
+    for chunk in (1, 5, graphs_module._CHUNK):
+        monkeypatch.setattr(graphs_module, "_CHUNK", chunk)
+        for bad in variants:
+            assert bad != text
+            calls = _line_reader_spy(monkeypatch)
+            assert _outcome(parse_edge_list, bad) == _outcome(reference_parse_edge_list, bad)
+            assert calls == [len(bad)], (bad, chunk)
+
+
 def test_from_edges_matches_reference():
     rng = random.Random(20261018)
     for _ in range(2000):

@@ -14,6 +14,7 @@ from stablereg.graphs import (
     half_graph,
     mask_of,
     matching_graph,
+    perturb,
     vertex_list,
 )
 from stablereg.pairs import is_good_set
@@ -95,6 +96,44 @@ def test_is_decreasing_matches_pointwise_definition():
             rising += not expected
             falling += expected
     assert rising and falling
+
+
+def _running_minimum_pointwise(f, upto, at):
+    """The running minimum of f on 0..upto read at `at`, point by point."""
+    return min(f(i) for i in range(min(at, upto) + 1))
+
+
+def test_running_minimum_matches_pointwise_definition():
+    values = [F(1, 2), F(1, 3), F(1, 4), F(2, 3)]
+    forms = [ErrorFunction(kind, F(1, 3)) for kind in ("const", "inverse", "inverse_square")]
+    rng = random.Random(20261018)
+    for length in range(1, 7):
+        for _ in range(30):
+            forms.append(ErrorFunction("table", table=tuple(rng.choices(values, k=length))))
+    for f in forms:
+        length = len(f.table) if f.kind == "table" else 3
+        for upto in range(length + 4):
+            mono = f.running_minimum(upto)
+            for at in range(upto + length + 4):
+                assert mono(at) == _running_minimum_pointwise(f, upto, at), (f.describe(), upto, at)
+            if f.kind == "table":
+                assert len(mono.table) <= length
+
+
+def test_running_minimum_of_a_table_ignores_a_huge_bound():
+    # one value per table entry, however far the bound reaches
+    tab = ErrorFunction.parse("table(1/4,1/2,1/8,1/3)")
+    mono = tab.running_minimum(10**15)
+    assert mono.table == (F(1, 4), F(1, 4), F(1, 8), F(1, 8))
+    assert tab.running_minimum(1).table == (F(1, 4), F(1, 4))
+
+
+def test_pipeline_with_rising_table_sigma():
+    g = perturb(clique_union([300, 300]), 20, 1)
+    result = regularity_pipeline(g, F(1, 2), ErrorFunction.parse("table(1/4,1/2)"))
+    assert result.passed
+    assert result.refined.params["sigma"] == "table(1/4,1/4)"
+    assert result.refined.params["sigma_monotonized"] is True
 
 
 def test_parse_fraction():
@@ -508,6 +547,25 @@ def test_pipeline_records_splits():
     assert not result.raw_precondition_ok  # matched pairs are never tau-good
     assert result.split_parts
     assert result.passed
+
+
+def test_pipeline_raw_ok_matches_refine_precondition():
+    # the gate's first round plus the exceptional-mass test decides the raw
+    # base exactly as check_refine_precondition does
+    rng = random.Random(20261018)
+    sigmas = [ErrorFunction.parse(s) for s in ("1/4", "inverse(1/2)", "table(1/4,1/2)", "table(1/2,1/3,1/4)")]
+    outcomes = set()
+    for _ in range(150):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        n = sum(sizes)
+        g = perturb(clique_union(sizes), rng.randint(0, n * (n - 1) // 4), rng.randrange(1000))
+        eps = rng.choice([F(1, 4), F(1, 2), F(3, 4)])
+        sigma = rng.choice(sigmas)
+        result = regularity_pipeline(g, eps, sigma)
+        expected, _ = check_refine_precondition(g, result.base, eps, sigma)
+        assert result.raw_precondition_ok == expected, (g.adj, eps, sigma.describe())
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 @given(graphs(max_n=10))
