@@ -348,7 +348,7 @@ def criterion_6(seed: int) -> CriterionResult:
         for cls in spectrum.classes:
             for _ in range(100):
                 runs += 1
-                result = definability_witnesses(g, k, cls, rng.randrange(1 << 62))
+                result = definability_witnesses(g, k, cls, rng.randrange(1 << 62), spectrum)
                 if not isinstance(result, DefinabilityWitnesses):
                     failures += 1
                 elif result.defined_mask != cls.signature:

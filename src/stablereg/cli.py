@@ -67,8 +67,39 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value: object, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for dicts with str keys,
+    without its pure-Python encoder: containers are joined here and scalars
+    encoded by the json module's C functions. `indent` opens each line of
+    the enclosing container."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    # floats, subclasses of str and int, and the TypeError of anything else
+    return json.dumps(value)
+
+
+def _emit(payload: object) -> None:
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -158,7 +189,7 @@ def _cmd_types(args: argparse.Namespace) -> int:
         }
         for c in spectrum.classes
     ]
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(payload)
     return EXIT_PASS
 
 
@@ -166,7 +197,7 @@ def _cmd_define(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     spectrum = type_spectrum(g)
     cls = spectrum.class_of(args.member)
-    result = definability_witnesses(g, args.k, cls, args.seed)
+    result = definability_witnesses(g, args.k, cls, args.seed, spectrum)
     if isinstance(result, DefinabilityWitnesses):
         _emit(
             {

@@ -9,6 +9,7 @@ no exceptional block.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +65,8 @@ def _generating_set(rows: tuple[tuple[int, ...], ...], identity: int) -> tuple[i
 
 class FiniteGroup:
     """Group on elements 0..n-1 given by its Cayley table, a sequence of n
-    rows of n Python ints.
+    rows of n Python ints; `cells` holds the same table as an n x n numpy
+    array.
 
     The axioms are verified exactly on construction, at any order.
     Associativity is Light's test: (x*s)*y == x*(s*y) for all x, y and every
@@ -73,7 +75,7 @@ class FiniteGroup:
     (x(st))y = ((xs)t)y = (xs)(ty) = x(s(ty)) = x((st)y).
     """
 
-    __slots__ = ("order", "table", "identity", "inverses", "generators", "name")
+    __slots__ = ("order", "table", "cells", "identity", "inverses", "generators", "name")
 
     def __init__(self, table: list[list[int]] | tuple[tuple[int, ...], ...], name: str = ""):
         n = len(table)
@@ -97,7 +99,7 @@ class FiniteGroup:
             raise InputError("Cayley table has no identity element")
         self.identity = identity
         self.generators = _generating_set(rows, identity)
-        arr = np.array(rows, dtype=np.int64)
+        arr = self.cells = np.array(rows, dtype=np.intp)
         for s in self.generators:
             if not np.array_equal(arr[arr[:, s], :], arr[:, arr[s, :]]):
                 raise InputError("Cayley table is not associative")
@@ -207,39 +209,50 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
     x), and <H, x> is the closure of H under right multiplication by that
     tuple, since positive words suffice in a finite group.
     """
-    return _subgroup_walk(g, [(x,) for x in range(g.order)])
+
+    def closure_joins(h: int, gens: tuple[int, ...], reps: list[int], _coset_of: list[int]):
+        for x in reps:
+            yield _close(g.table, h, gens, x), gens + (x,)
+
+    return _subgroup_walk(g, closure_joins)
 
 
-def _subgroup_walk(g: FiniteGroup, spans: list[tuple[int, ...]]) -> list[int]:
-    """The sorted masks reached from the trivial subgroup by joining H with
-    spans[x], for one x per left coset xH outside each subgroup H found."""
+def _subgroup_walk(g: FiniteGroup, joins) -> list[int]:
+    """The sorted masks reached from the trivial subgroup by the joins of
+    each subgroup H found.
+
+    joins(H, data, reps, coset_of) gets the data H was found with, the least
+    member x of each left coset xH outside H, and the mask of the left coset
+    of every element (0 on H); it yields (join of H with x, data of the
+    join) for each x. A subgroup keeps the data it was first found with.
+    """
     bound = config.capacity_bound("group")
     if g.order > bound:
         raise CapacityError(f"subgroup enumeration bound is order <= {bound}")
     trivial = 1 << g.identity
-    generated_by = {trivial: ()}
+    found = {trivial: ()}
     frontier = [trivial]
     while frontier:
         nxt = []
         for h in frontier:
-            h_gens = generated_by[h]
             h_elems = list(bits(h))
-            covered = h
+            coset_of = [0] * g.order
+            reps = []
             for x in range(g.order):
-                if (covered >> x) & 1:
+                if coset_of[x] or (h >> x) & 1:
                     continue
                 row = g.table[x]
-                covered |= mask_of(row[a] for a in h_elems)
-                k, k_gens = h, h_gens
-                for y in spans[x]:
-                    if not (k >> y) & 1:
-                        k = _close(g.table, k, k_gens, y)
-                        k_gens += (y,)
-                if k not in generated_by:
-                    generated_by[k] = k_gens
+                members = [row[a] for a in h_elems]
+                coset = mask_of(members)
+                for y in members:
+                    coset_of[y] = coset
+                reps.append(x)
+            for k, data in joins(h, found[h], reps, coset_of):
+                if k not in found:
+                    found[k] = data
                     nxt.append(k)
         frontier = nxt
-    return sorted(generated_by)
+    return sorted(found)
 
 
 def is_normal(g: FiniteGroup, h_mask: int) -> bool:
@@ -254,41 +267,73 @@ def is_normal(g: FiniteGroup, h_mask: int) -> bool:
     return True
 
 
-def _conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """The conjugacy class of each element, ascending: its orbit under
-    conjugation by the generators, which is exact as in is_normal."""
-    classes: list[tuple[int, ...]] = [()] * g.order
-    for x in range(g.order):
-        if classes[x]:
+def _normal_closures(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """NC(x), the subgroup generated by the conjugacy class of x, for each
+    element x, as its ascending members.
+
+    The class of x is x's orbit under conjugation by the generators, exact
+    as in is_normal, and NC(x) its closure from the identity. It is computed
+    once per class: a class of x^j with gcd(j, ord x) = 1 shares NC(x),
+    since x^j generates <x>.
+    """
+    n, rows = g.order, g.table
+    closures: list[tuple[int, ...]] = [()] * n
+    for x in range(n):
+        if closures[x]:
             continue
         orbit, todo = 1 << x, [x]
         while todo:
             y = todo.pop()
             for s in g.generators:
-                z = g.table[g.table[s][y]][g.inv(s)]
+                z = rows[rows[s][y]][g.inv(s)]
                 if not (orbit >> z) & 1:
                     orbit |= 1 << z
                     todo.append(z)
-        members = tuple(bits(orbit))
-        for y in members:
-            classes[y] = members
-    return classes
+        mask, gens = 1 << g.identity, ()
+        for y in bits(orbit):
+            if not (mask >> y) & 1:
+                mask = _close(rows, mask, gens, y)
+                gens += (y,)
+        members = tuple(bits(mask))
+        for z in bits(orbit):
+            powers, y = [z], rows[z][z]  # z, z^2, ..., z^ord(z) = identity
+            while y != z:
+                powers.append(y)
+                y = rows[y][z]
+            for j, y in enumerate(powers, 1):
+                if math.gcd(j, len(powers)) == 1:
+                    closures[y] = members
+    return closures
 
 
 def normal_subgroups_up_to_index(g: FiniteGroup, max_index: int) -> list[Subgroup]:
     """Normal subgroups of index at most max_index, ordered by increasing
     index then by element mask.
 
-    The walk of all_subgroups joins a normal N with the whole conjugacy
-    class of x, which gives the least normal subgroup containing N and x,
-    so only normal subgroups are visited, and each normal M is reached by
-    adding the classes of its elements one at a time. The join depends only
-    on the coset xN, since the class of xn lies in N and the class of x.
+    The walk of all_subgroups, with another join: a normal H and x are
+    joined into the least normal subgroup containing both, so only normal
+    subgroups are visited, and each normal M is reached by adding the
+    conjugacy classes of its elements one at a time. That join is the
+    product H NC(x), NC(x) the subgroup generated by the class of x: a
+    product of normal subgroups is a normal subgroup, and it lies in every
+    normal subgroup containing H and x. It is the union of the cosets of H
+    that meet NC(x), found by one coset lookup per member of NC(x) instead
+    of a closure under multiplication. It depends only on the coset xH,
+    since xh lies in H NC(x) and x in H NC(xh).
     """
     if max_index < 1:
         raise InputError("max_index must be at least 1")
+    closures = _normal_closures(g)
+
+    def product_joins(h: int, _data: tuple, reps: list[int], coset_of: list[int]):
+        for x in reps:
+            k = h
+            for y in closures[x]:
+                k |= coset_of[y]
+            yield k, ()
+
     out = []
-    for mask in _subgroup_walk(g, _conjugacy_classes(g)):
+    for mask in _subgroup_walk(g, product_joins):
         order = mask.bit_count()
         if g.order % order:
             raise AssertionError("subgroup order must divide group order")
@@ -317,14 +362,18 @@ def left_cosets(g: FiniteGroup, h_mask: int) -> list[int]:
 
 
 def translate_relation(g: FiniteGroup, a_mask: int) -> Relation:
-    """Two-sided relation R(x, y) <=> x*y in A, for ladder analysis."""
-    if a_mask & ~((1 << g.order) - 1):
+    """Two-sided relation R(x, y) <=> x*y in A, for ladder analysis: A's
+    membership bits gathered through the Cayley table, packed row by row."""
+    n = g.order
+    if a_mask & ~((1 << n) - 1):
         raise InputError("subset references elements out of range")
-    rows = tuple(
-        mask_of(y for y in range(g.order) if (a_mask >> g.table[x][y]) & 1)
-        for x in range(g.order)
+    nbytes = (n + 7) // 8
+    member = np.unpackbits(
+        np.frombuffer(a_mask.to_bytes(nbytes, "little"), np.uint8), count=n, bitorder="little"
     )
-    return Relation(g.order, g.order, rows)
+    raw = np.packbits(member[g.cells], axis=1, bitorder="little").tobytes()
+    rows = tuple(int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, n * nbytes, nbytes))
+    return Relation(n, n, rows)
 
 
 def membership_relation(g: FiniteGroup, a_mask: int) -> Relation:

@@ -459,20 +459,12 @@ def equipartition_refine(
         raise InputError("partition and graph disagree on the vertex count")
     if base.m < 1:
         raise InputError("base partition needs at least one part")
+    if check:
+        ok, reason = check_refine_precondition(g, base, eps, sigma)
+        if not ok:
+            raise PreconditionError(reason)
     sigma, monotonized = _monotone(sigma, base.m, eps)
     tau, N = goodness_scale(eps, sigma, base.m)
-    if check:
-        if base.exceptional_fraction() >= eps / 2:
-            raise PreconditionError(
-                "exceptional mass must be below eps/2 before refinement"
-            )
-        for i, part in enumerate(base.parts):
-            b = good_set_violation(g, part, tau)
-            if b is not None:
-                raise PreconditionError(
-                    f"base part {i} is not tau(m)-good (tau={tau}); "
-                    f"parameter {b} lands mid-band"
-                )
 
     m = base.m
     # chunk size ceil((eps / 2m) |V|)

@@ -80,9 +80,11 @@ def _class_signature(g: Graph, members: int) -> int:
     return sig
 
 
-def patched_rows(g: Graph) -> tuple[int, ...]:
-    """Per-vertex class-patched adjacency; row of v equals v's class signature."""
-    spectrum = type_spectrum(g)
+def patched_rows(g: Graph, spectrum: TypeSpectrum | None = None) -> tuple[int, ...]:
+    """Per-vertex class-patched adjacency; row of v equals v's class
+    signature. `spectrum` is g's type spectrum, built here if not given."""
+    if spectrum is None:
+        spectrum = type_spectrum(g)
     rows = [0] * g.n
     for cls in spectrum.classes:
         for v in bits(cls.members):
@@ -126,14 +128,16 @@ DefinabilityResult = DefinabilityWitnesses | DefinabilityDefect
 
 
 def definability_witnesses(
-    g: Graph, k: int, cls: TypeClass, seed: int
+    g: Graph, k: int, cls: TypeClass, seed: int, spectrum: TypeSpectrum | None = None
 ) -> DefinabilityResult:
-    """Run the inductive witness construction for a graph type class."""
+    """Run the inductive witness construction for a graph type class;
+    `spectrum`, g's type spectrum if the caller has it, saves building it
+    again."""
     if k < 1:
         raise InputError("stability parameter k must be at least 1")
     if cls.members == 0:
         raise InputError("type class has no realizers")
-    rows = patched_rows(g)
+    rows = patched_rows(g, spectrum)
     ids = list(range(g.n))
     rng = derive_rng(seed, "definability.graph")
     return _construct(ids, rows, list(range(g.n)), cls.signature, k, rng, g.n)
@@ -216,26 +220,17 @@ def _construct(
                 j_cand[sub] = cand
                 record((cand & -cand).bit_length() - 1)
 
-    counts = []
-    defined = 0
-    defect: tuple[int, int, bool] | None = None
-    for p in range(width):
-        if not (param_mask >> p) & 1:
-            counts.append(0)
-            continue
-        c = sum((rows[a] >> p) & 1 for a in chosen)
-        counts.append(c)
-        yes = c >= k
-        if yes:
-            defined |= 1 << p
-        if defect is None and yes != bool((sig >> p) & 1):
-            defect = (p, c, bool((sig >> p) & 1))
-
-    if defect is not None:
-        p, c, expected = defect
+    counts = [0] * width
+    for a in chosen:
+        for p in bits(rows[a] & param_mask):
+            counts[p] += 1
+    defined = mask_of(p for p in bits(param_mask) if counts[p] >= k)
+    wrong = defined ^ sig
+    if wrong:
+        p = (wrong & -wrong).bit_length() - 1  # the first defect
         rel = Relation(len(rows), width, tuple(rows))
         ladder = find_relation_ladder(rel, k)
-        return DefinabilityDefect(k, tuple(chosen), p, c, expected, ladder)
+        return DefinabilityDefect(k, tuple(chosen), p, counts[p], bool((sig >> p) & 1), ladder)
     return DefinabilityWitnesses(k, tuple(chosen), defined, tuple(counts))
 
 

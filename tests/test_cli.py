@@ -1,7 +1,12 @@
+import io
 import json
+from contextlib import redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablereg import config
-from stablereg.cli import main
+from stablereg.cli import _emit, main
 from stablereg.graphs import parse_edge_list, parse_family
 from stablereg.partitions import partition_from_json
 
@@ -357,3 +362,30 @@ def test_vertex_bound_is_capacity_error(capsys, tmp_path):
         code, payload = run_json(capsys, *argv)
         assert code == 3 and payload["error"]["kind"] == "capacity", argv
         assert f"bound is n <= {config.VERTEX_BOUND}" in payload["error"]["reason"]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["", "\\", '"', "\x00\x1f\x7f", "\n\r\t\b\f", "é", "\u2028", "\U0001f600"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_emit_writes_the_bytes_of_indented_json_dumps(value):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"

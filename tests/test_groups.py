@@ -8,6 +8,7 @@ from stablereg.graphs import mask_of, vertex_list
 from stablereg.groups import (
     FiniteGroup,
     Subgroup,
+    _normal_closures,
     all_subgroups,
     coset_regularity,
     coset_report,
@@ -395,3 +396,58 @@ def test_normal_walk_matches_subgroup_filter():
             assert normal_subgroups_up_to_index(g, max_index) == _normal_subgroups_by_filter(
                 g, max_index
             ), (g.name, max_index)
+
+
+def _product(*factors):
+    g = factors[0]
+    for f in factors[1:]:
+        g = direct_product(g, f)
+    return g
+
+
+# groups whose normal closures are not cyclic, or with many normal subgroups
+MANY_NORMAL_GROUPS = [
+    _product(cyclic_group(2), cyclic_group(2), cyclic_group(2), cyclic_group(2)),
+    _product(cyclic_group(2), cyclic_group(2), cyclic_group(4)),
+    _product(cyclic_group(4), cyclic_group(4)),
+    _product(cyclic_group(3), cyclic_group(3)),
+    _product(dihedral_group(4), cyclic_group(2)),
+    _product(dihedral_group(3), cyclic_group(2)),
+]
+
+
+def test_normal_walk_matches_subgroup_filter_with_many_normal_subgroups():
+    for g in MANY_NORMAL_GROUPS:
+        for max_index in (g.order, 2):
+            assert normal_subgroups_up_to_index(g, max_index) == _normal_subgroups_by_filter(
+                g, max_index
+            ), (g.name, max_index)
+    assert len(normal_subgroups_up_to_index(MANY_NORMAL_GROUPS[0], 16)) == 67
+
+
+def test_normal_closures_are_least_normal_subgroups():
+    # NC(x) is the intersection of the normal subgroups that contain x
+    for g in _small_groups() + MANY_NORMAL_GROUPS:
+        normal = [s.elements for s in _normal_subgroups_by_filter(g, g.order)]
+        closures = _normal_closures(g)
+        for x in range(g.order):
+            least = (1 << g.order) - 1
+            for mask in normal:
+                if (mask >> x) & 1:
+                    least &= mask
+            assert mask_of(closures[x]) == least, (g.name, x)
+
+
+def test_translate_relation_matches_definition_on_random_subsets():
+    rng = random.Random(11)
+    groups = [cyclic_group(1), cyclic_group(7), dihedral_group(5), MANY_NORMAL_GROUPS[4]]
+    groups += [build() for build, _ in BENCHMARK_GROUPS]
+    for g in groups:
+        for _ in range(6):
+            a_mask = rng.getrandbits(g.order)
+            rel = translate_relation(g, a_mask)
+            assert (rel.nv, rel.nw) == (g.order, g.order)
+            for x in range(g.order):
+                assert rel.rows[x] == mask_of(
+                    y for y in range(g.order) if (a_mask >> g.mul(x, y)) & 1
+                ), (g.name, a_mask, x)

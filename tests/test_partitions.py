@@ -636,3 +636,21 @@ def test_searched_base_composition():
             report = verify_regularity(g, refined, eps, sigma)
             assert report.passed, (g, eps)
     assert fired >= 4  # the conditional must actually fire, not pass vacuously
+
+
+def test_refine_raises_the_precondition_check_reason():
+    sigma = ErrorFunction.parse("1/4")
+    g = clique_union([1] * 8 + [8])  # eight isolated vertices and a clique
+    cases = [
+        # part 1, a clique, is not tau(m)-good
+        Partition(16, 0, (mask_of(range(8)), mask_of(range(8, 16)))),
+        # exceptional mass 8/16 is not below eps/2
+        Partition(16, mask_of(range(8)), (mask_of(range(8, 16)),)),
+    ]
+    for base in cases:
+        ok, reason = check_refine_precondition(g, base, F(1, 2), sigma)
+        assert not ok
+        with pytest.raises(PreconditionError) as caught:
+            equipartition_refine(g, base, F(1, 2), sigma)
+        assert str(caught.value) == reason
+    assert "part 1 " in check_refine_precondition(g, cases[0], F(1, 2), sigma)[1]

@@ -286,3 +286,34 @@ def test_harrington_input_errors():
         harrington_check(g, L, L, 1, p, q, 0)
     with pytest.raises(InputError):
         harrington_check(g, L, mask_of([3, 4]), 1, p, q, 0)
+
+
+def test_vote_counts_and_first_defect_match_per_parameter_sums():
+    # counts, answers and the defect recomputed from the emitted witnesses;
+    # low k on random graphs makes defects common
+    rng = random.Random(5)
+    defects = witnesses = 0
+    for _ in range(120):
+        n = rng.randrange(2, 12)
+        p_edge = rng.random()
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < p_edge])
+        spectrum = type_spectrum(g)
+        prows = patched_rows(g)
+        for cls in spectrum.classes:
+            k = rng.randrange(1, 4)
+            seed = rng.randrange(1 << 30)
+            r = definability_witnesses(g, k, cls, seed)
+            assert r == definability_witnesses(g, k, cls, seed, spectrum)
+            counts = [sum((prows[a] >> p) & 1 for a in r.witnesses) for p in range(n)]
+            wrong = [p for p in range(n) if (counts[p] >= k) != bool((cls.signature >> p) & 1)]
+            if isinstance(r, DefinabilityWitnesses):
+                witnesses += 1
+                assert not wrong
+                assert list(r.vote_counts) == counts
+                assert r.defined_mask == mask_of(p for p in range(n) if counts[p] >= k)
+            else:
+                defects += 1
+                assert r.parameter == wrong[0]
+                assert r.vote_count == counts[r.parameter]
+                assert r.expected == bool((cls.signature >> r.parameter) & 1)
+    assert defects and witnesses
