@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from random import Random
 
 from .graphs import (
@@ -110,25 +110,17 @@ def _random_nonempty_subset(rng: Random, mask: int) -> int:
 
 def criterion_1(seed: int) -> CriterionResult:
     """Pruned ladder search vs exhaustive tuple-scan oracle."""
-    checked = 0
-    mismatches = 0
-    for n in range(1, 6):
-        for g in _all_graphs(n):
-            rel = graph_relation(g)
-            for k in range(1, 4):
-                found = find_relation_ladder(rel, k)
-                exists = ladder_exists_scan(rel, k)
-                checked += 1
-                if (found is not None) != exists:
-                    mismatches += 1
-                elif found is not None and not found.holds_in(rel):
-                    mismatches += 1
     rng = derive_rng(seed, "c1.random8")
     densities = [0.2, 0.35, 0.5, 0.65, 0.8]
-    for i in range(500):
-        g = _random_graph(rng, 8, densities[i % len(densities)])
+    exhaustive = ((g, range(1, 4)) for n in range(1, 6) for g in _all_graphs(n))
+    random8 = (
+        (_random_graph(rng, 8, densities[i % len(densities)]), range(1, 5)) for i in range(500)
+    )
+    checked = 0
+    mismatches = 0
+    for g, ks in chain(exhaustive, random8):
         rel = graph_relation(g)
-        for k in range(1, 5):
+        for k in ks:
             found = find_relation_ladder(rel, k)
             exists = ladder_exists_scan(rel, k)
             checked += 1

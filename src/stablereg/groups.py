@@ -13,6 +13,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -81,37 +82,38 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise InputError("group must be nonempty")
-        for row in table:
-            if not isinstance(row, Sequence) or len(row) != n or any(
-                type(x) is not int or not 0 <= x < n for x in row
-            ):
-                raise InputError("Cayley table must be n x n over 0..n-1")
+        malformed = "Cayley table must be n x n over 0..n-1"
+        if any(not isinstance(row, Sequence) or len(row) != n for row in table):
+            raise InputError(malformed)
+        # one C-level type test for every cell: bool is an int subclass that
+        # numpy would read as 0 or 1, so JSON true and false are rejected here
+        if set(map(type, chain.from_iterable(table))) != {int}:
+            raise InputError(malformed)
         rows = tuple(tuple(row) for row in table)
+        try:
+            arr = self.cells = np.array(rows, dtype=np.intp)
+        except OverflowError:  # a cell beyond the machine integers
+            raise InputError(malformed) from None
+        if arr.min() < 0 or arr.max() >= n:
+            raise InputError(malformed)
         self.order = n
         self.table = rows
         self.name = name
-        identity = None
-        for e in range(n):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        span = np.arange(n)
+        units = np.flatnonzero((arr == span).all(axis=1) & (arr == span[:, None]).all(axis=0))
+        if len(units) == 0:
             raise InputError("Cayley table has no identity element")
-        self.identity = identity
+        identity = self.identity = int(units[0])
         self.generators = _generating_set(rows, identity)
-        arr = self.cells = np.array(rows, dtype=np.intp)
         for s in self.generators:
             if not np.array_equal(arr[arr[:, s], :], arr[:, arr[s, :]]):
                 raise InputError("Cayley table is not associative")
-        inverses = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if rows[a][b] == identity and rows[b][a] == identity:
-                    inverses[a] = b
-                    break
-            if inverses[a] < 0:
-                raise InputError(f"element {a} has no inverse")
-        self.inverses = tuple(inverses)
+        unit = arr == identity
+        inverse_of = unit & unit.T  # a*b and b*a both the identity
+        missing = np.flatnonzero(~inverse_of.any(axis=1))
+        if len(missing):
+            raise InputError(f"element {missing[0]} has no inverse")
+        self.inverses = tuple(inverse_of.argmax(axis=1).tolist())
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -362,27 +364,28 @@ def left_cosets(g: FiniteGroup, h_mask: int) -> list[int]:
 
 
 def translate_relation(g: FiniteGroup, a_mask: int) -> Relation:
-    """Two-sided relation R(x, y) <=> x*y in A, for ladder analysis: A's
-    membership bits gathered through the Cayley table, packed row by row."""
-    n = g.order
+    """Two-sided relation R(x, y) <=> x*y in A, for ladder analysis."""
+    return _gathered_relation(g.cells, a_mask)
+
+
+def membership_relation(g: FiniteGroup, a_mask: int) -> Relation:
+    """Two-sided relation R(x, y) <=> x in yA, i.e. inv(y)*x in A."""
+    return _gathered_relation(g.cells[list(g.inverses)].T, a_mask)
+
+
+def _gathered_relation(products: np.ndarray, a_mask: int) -> Relation:
+    """Relation R(x, y) <=> products[x, y] in A: A's membership bits gathered
+    through the n x n element array `products`, packed row by row."""
+    n = len(products)
     if a_mask & ~((1 << n) - 1):
         raise InputError("subset references elements out of range")
     nbytes = (n + 7) // 8
     member = np.unpackbits(
         np.frombuffer(a_mask.to_bytes(nbytes, "little"), np.uint8), count=n, bitorder="little"
     )
-    raw = np.packbits(member[g.cells], axis=1, bitorder="little").tobytes()
+    raw = np.packbits(member[products], axis=1, bitorder="little").tobytes()
     rows = tuple(int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, n * nbytes, nbytes))
     return Relation(n, n, rows)
-
-
-def membership_relation(g: FiniteGroup, a_mask: int) -> Relation:
-    """Two-sided relation R(x, y) <=> x in yA, i.e. inv(y)*x in A."""
-    rows = tuple(
-        mask_of(y for y in range(g.order) if (a_mask >> g.table[g.inv(y)][x]) & 1)
-        for x in range(g.order)
-    )
-    return Relation(g.order, g.order, rows)
 
 
 @dataclass(frozen=True)

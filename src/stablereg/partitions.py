@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -263,7 +262,7 @@ def _search_exact(g: Graph, eps: Fraction, sigma: ErrorFunction) -> SearchResult
 
     exceptional_choices: list[int] = [0]
     for size in range(1, max_exc + 1):
-        exceptional_choices.extend(sorted(_subsets_of_size(full, size)))
+        exceptional_choices.extend(sorted(map(mask_of, combinations(range(n), size))))
 
     for m in range(1, n + 1):
         gamma = sigma(m)
@@ -320,20 +319,6 @@ def _first_good_partition(g: Graph, rest: int, m: int, good) -> list[int] | None
             sub = (sub - others) & others
 
     return out if rec(rest, m) else None
-
-
-def _subsets_of_size(mask: int, size: int) -> Iterable[int]:
-    verts = vertex_list(mask)
-
-    def rec(start: int, left: int) -> Iterable[int]:
-        if left == 0:
-            yield 0
-            return
-        for i in range(start, len(verts) - left + 1):
-            for rest in rec(i + 1, left - 1):
-                yield rest | (1 << verts[i])
-
-    return rec(0, size)
 
 
 def _search_greedy(g: Graph, eps: Fraction, sigma: ErrorFunction) -> SearchResult:

@@ -14,7 +14,8 @@ parameter a itself by its own class's signature bit, and every other
 parameter by the real edge relation. Under patched adjacency every member
 of a class has exactly the signature as its row, so each class is a
 realized row and the inductive witness construction below never strands;
-the emitted k-of-2k vote is evaluated with the same patched adjacency.
+the emitted k-of-2k vote is evaluated with the same patched adjacency. The
+construction keeps its parameter sets and recorded parameters as bit masks.
 Bipartite (two-sided) types use literal rows, where no self cells exist.
 """
 
@@ -137,54 +138,39 @@ def definability_witnesses(
         raise InputError("stability parameter k must be at least 1")
     if cls.members == 0:
         raise InputError("type class has no realizers")
-    rows = patched_rows(g, spectrum)
-    ids = list(range(g.n))
     rng = derive_rng(seed, "definability.graph")
-    return _construct(ids, rows, list(range(g.n)), cls.signature, k, rng, g.n)
+    return _construct(g.full_mask, patched_rows(g, spectrum), g.full_mask, cls.signature, k, rng)
 
 
 def _construct(
-    candidates: list[int],
-    rows: tuple[int, ...] | list[int],
-    parameters: list[int],
-    sig: int,
-    k: int,
-    rng: Random,
-    width: int,
+    candidates: int, rows: tuple[int, ...], params: int, sig: int, k: int, rng: Random
 ) -> DefinabilityResult:
     """Inductive construction of 2k vote witnesses.
 
-    candidates: element ids allowed as witnesses (each with rows[id] a mask
-    over parameter bit positions); parameters: usable parameter positions;
-    sig: the target answers on those positions.
+    candidates: mask of the ids allowed as witnesses, each with rows[id] a
+    mask over parameter positions; params: mask of the usable parameters;
+    sig: the target answers on them.
 
-    Stage n keeps, for every subset X of the chosen indices, one parameter
-    witnessing that the target answers "no" while all of X answered "yes"
-    (and dually). Each next witness is drawn uniformly from the elements
-    agreeing with the target on every parameter recorded so far.
+    The "no" sets start from params & ~sig and the "yes" sets from sig; each
+    witness adds every "no" set cut by its row and every "yes" set cut by the
+    complement of its row, keeping only nonempty sets. The least member of
+    every set is recorded, and each next witness is drawn uniformly from the
+    candidates agreeing with sig on all recorded parameters. A new set holds
+    only parameters where its newest witness disagrees with sig, none recorded
+    yet, so the lists can double only at stages that record a new parameter.
+
+    The construction as stated keeps one set per subset X of the stages,
+    keyed by X; the lists hold the same sets, as every set made is new and
+    none is looked up by X. Records commute and no witness is drawn between
+    two records of a stage, so filtering once per stage leaves the same
+    candidates, in the same order, for `rng.randrange`.
     """
-    param_mask = mask_of(parameters)
-    sig &= param_mask
-    not_sig = param_mask & ~sig
-
+    sig &= params
+    no, yes = [params & ~sig], [sig]  # an empty start set records and cuts to nothing
+    recorded = (no[0] & -no[0]) | (sig & -sig)
+    qual = list(bits(candidates))
     chosen: list[int] = []
-    # candidate parameter masks per subset of chosen indices (bitmask over stages)
-    i_cand: dict[int, int] = {}
-    j_cand: dict[int, int] = {}
-    recorded: list[int] = []  # parameters entered into D, in discovery order
-    recorded_mask = 0
-    qual = list(candidates)
-
-    def record(p: int) -> None:
-        nonlocal qual, recorded_mask
-        if (recorded_mask >> p) & 1:
-            return
-        recorded_mask |= 1 << p
-        recorded.append(p)
-        want = (sig >> p) & 1
-        qual = [a for a in qual if ((rows[a] >> p) & 1) == want]
-
-    for stage in range(2 * k):
+    for _ in range(2 * k):
         if not qual:
             raise InputError(
                 "no element agrees with the class on the recorded parameters; "
@@ -193,43 +179,23 @@ def _construct(
         a = qual[rng.randrange(len(qual))]
         chosen.append(a)
         row = rows[a]
-        bit = 1 << stage
-        new_i: dict[int, int] = {}
-        new_j: dict[int, int] = {}
-        if stage == 0:
-            new_i[0] = not_sig
-            new_j[0] = sig
-        for sub, cand in list(i_cand.items()):
-            new_i[sub | bit] = cand & row
-        for sub, cand in list(j_cand.items()):
-            new_j[sub | bit] = cand & ~row
-        if stage == 0:
-            new_i[bit] = not_sig & row
-            new_j[bit] = sig & ~row
-        # An empty candidate mask stays empty at every later stage, so only
-        # nonempty ones are kept. A new nonempty mask holds only parameters not
-        # yet recorded (witnesses agree with sig on recorded ones) and records
-        # one, so the masks kept can double only at stages that record a new
-        # parameter, not at each of the 2k stages.
-        for sub, cand in new_i.items():
-            if cand:
-                i_cand[sub] = cand
-                record((cand & -cand).bit_length() - 1)
-        for sub, cand in new_j.items():
-            if cand:
-                j_cand[sub] = cand
-                record((cand & -cand).bit_length() - 1)
+        cut_no = [c for s in no if (c := s & row)]
+        cut_yes = [c for s in yes if (c := s & ~row)]
+        no += cut_no
+        yes += cut_yes
+        for s in cut_no + cut_yes:
+            recorded |= s & -s
+        qual = [b for b in qual if not (rows[b] ^ sig) & recorded]
 
-    counts = [0] * width
+    counts = [0] * len(rows)
     for a in chosen:
-        for p in bits(rows[a] & param_mask):
+        for p in bits(rows[a] & params):
             counts[p] += 1
-    defined = mask_of(p for p in bits(param_mask) if counts[p] >= k)
+    defined = mask_of(p for p in bits(params) if counts[p] >= k)
     wrong = defined ^ sig
     if wrong:
         p = (wrong & -wrong).bit_length() - 1  # the first defect
-        rel = Relation(len(rows), width, tuple(rows))
-        ladder = find_relation_ladder(rel, k)
+        ladder = find_relation_ladder(Relation(len(rows), len(rows), rows), k)
         return DefinabilityDefect(k, tuple(chosen), p, counts[p], bool((sig >> p) & 1), ladder)
     return DefinabilityWitnesses(k, tuple(chosen), defined, tuple(counts))
 
@@ -259,16 +225,8 @@ def side_definability_witnesses(
     """Witness construction for a class of `side` over parameters `params`."""
     if k < 1:
         raise InputError("stability parameter k must be at least 1")
-    rng = derive_rng(seed, "definability.side")
-    return _construct(
-        list(bits(side)),
-        tuple(g.adj[v] & params if (side >> v) & 1 else 0 for v in range(g.n)),
-        list(bits(params)),
-        cls.signature,
-        k,
-        rng,
-        g.n,
-    )
+    rows = tuple(g.adj[v] & params if (side >> v) & 1 else 0 for v in range(g.n))
+    return _construct(side, rows, params, cls.signature, k, derive_rng(seed, "definability.side"))
 
 
 @dataclass(frozen=True)

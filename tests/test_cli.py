@@ -273,6 +273,18 @@ def test_group_non_integer_cells_are_input_errors(capsys, tmp_path):
         assert code == 2 and payload["error"]["kind"] == "input", name
 
 
+def test_group_bool_cells_are_input_errors(capsys, tmp_path):
+    # JSON true and false are Python bools, which numpy would read as 1 and 0
+    for table in ([[0, 1], [1, True]], [[False, 1], [1, 0]]):
+        path = tmp_path / "bool_cell.json"
+        path.write_text(json.dumps({"order": 2, "table": table}))
+        code, payload = run_json(
+            capsys, "group", "--input", str(path), "--set", "0", "--sigma", "const(1/4)"
+        )
+        assert code == 2 and payload["error"]["kind"] == "input", table
+        assert payload["error"]["reason"] == "Cayley table must be n x n over 0..n-1"
+
+
 def test_malformed_partition_json_is_input_error(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -451,3 +451,41 @@ def test_translate_relation_matches_definition_on_random_subsets():
                 assert rel.rows[x] == mask_of(
                     y for y in range(g.order) if (a_mask >> g.mul(x, y)) & 1
                 ), (g.name, a_mask, x)
+
+
+def test_membership_relation_matches_definition_on_random_subsets():
+    rng = random.Random(12)
+    groups = [cyclic_group(1), cyclic_group(7), dihedral_group(5), MANY_NORMAL_GROUPS[4]]
+    groups += [build() for build, _ in BENCHMARK_GROUPS]
+    for g in groups:
+        for _ in range(6):
+            a_mask = rng.getrandbits(g.order)
+            rel = membership_relation(g, a_mask)
+            assert (rel.nv, rel.nw) == (g.order, g.order)
+            for x in range(g.order):
+                assert rel.rows[x] == mask_of(
+                    y for y in range(g.order) if (a_mask >> g.mul(g.inv(y), x)) & 1
+                ), (g.name, a_mask, x)
+        for relation in (membership_relation, translate_relation):
+            with pytest.raises(InputError):
+                relation(g, 1 << g.order)
+
+
+def test_group_table_checks_fire_in_order():
+    # each table passes every check before the one it fails, so the message
+    # names that check; cells beyond the machine integers are out of range
+    tables = [
+        ([[0, 1], [1, 2**70]], "Cayley table must be n x n over 0..n-1"),
+        ([[0, 1], [1, -(2**70)]], "Cayley table must be n x n over 0..n-1"),
+        ([[0, 1], [True, 0]], "Cayley table must be n x n over 0..n-1"),
+        ([[0, 1], [1, 2]], "Cayley table must be n x n over 0..n-1"),
+        ([[1, 0], [1, 0]], "Cayley table has no identity element"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "Cayley table is not associative"),
+        ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "element 1 has no inverse"),
+    ]
+    for table, message in tables:
+        with pytest.raises(InputError) as info:
+            FiniteGroup(table)
+        assert str(info.value) == message, table
+    g = FiniteGroup([[1, 0], [0, 1]])  # Z2 with the identity at 1
+    assert (g.identity, g.inverses) == (1, (0, 1))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,11 @@ from stablereg.graphs import (
     vertex_list,
 )
 from stablereg.pairs import is_good_set
-from stablereg.stability import ladder_index
+from stablereg.rng import derive_rng
+from stablereg.stability import Relation, find_relation_ladder, ladder_index
 from stablereg.typeclasses import (
     DefinabilityDefect,
+    DefinabilityResult,
     DefinabilityWitnesses,
     TypeClass,
     TypeSpectrum,
@@ -29,6 +32,7 @@ from stablereg.typeclasses import (
     definability_witnesses,
     harrington_check,
     patched_rows,
+    side_definability_witnesses,
     side_types,
     type_spectrum,
 )
@@ -317,3 +321,132 @@ def test_vote_counts_and_first_defect_match_per_parameter_sums():
                 assert r.vote_count == counts[r.parameter]
                 assert r.expected == bool((cls.signature >> r.parameter) & 1)
     assert defects and witnesses
+
+
+def reference_construct(
+    candidates: list[int],
+    rows: tuple[int, ...] | list[int],
+    parameters: list[int],
+    sig: int,
+    k: int,
+    rng: Random,
+    width: int,
+) -> DefinabilityResult:
+    """Inductive construction of 2k vote witnesses.
+
+    candidates: element ids allowed as witnesses (each with rows[id] a mask
+    over parameter bit positions); parameters: usable parameter positions;
+    sig: the target answers on those positions.
+
+    Stage n keeps, for every subset X of the chosen indices, one parameter
+    witnessing that the target answers "no" while all of X answered "yes"
+    (and dually). Each next witness is drawn uniformly from the elements
+    agreeing with the target on every parameter recorded so far.
+    """
+    param_mask = mask_of(parameters)
+    sig &= param_mask
+    not_sig = param_mask & ~sig
+
+    chosen: list[int] = []
+    # candidate parameter masks per subset of chosen indices (bitmask over stages)
+    i_cand: dict[int, int] = {}
+    j_cand: dict[int, int] = {}
+    recorded: list[int] = []  # parameters entered into D, in discovery order
+    recorded_mask = 0
+    qual = list(candidates)
+
+    def record(p: int) -> None:
+        nonlocal qual, recorded_mask
+        if (recorded_mask >> p) & 1:
+            return
+        recorded_mask |= 1 << p
+        recorded.append(p)
+        want = (sig >> p) & 1
+        qual = [a for a in qual if ((rows[a] >> p) & 1) == want]
+
+    for stage in range(2 * k):
+        if not qual:
+            raise InputError(
+                "no element agrees with the class on the recorded parameters; "
+                "the class is not realized in this relation"
+            )
+        a = qual[rng.randrange(len(qual))]
+        chosen.append(a)
+        row = rows[a]
+        bit = 1 << stage
+        new_i: dict[int, int] = {}
+        new_j: dict[int, int] = {}
+        if stage == 0:
+            new_i[0] = not_sig
+            new_j[0] = sig
+        for sub, cand in list(i_cand.items()):
+            new_i[sub | bit] = cand & row
+        for sub, cand in list(j_cand.items()):
+            new_j[sub | bit] = cand & ~row
+        if stage == 0:
+            new_i[bit] = not_sig & row
+            new_j[bit] = sig & ~row
+        # An empty candidate mask stays empty at every later stage, so only
+        # nonempty ones are kept. A new nonempty mask holds only parameters not
+        # yet recorded (witnesses agree with sig on recorded ones) and records
+        # one, so the masks kept can double only at stages that record a new
+        # parameter, not at each of the 2k stages.
+        for sub, cand in new_i.items():
+            if cand:
+                i_cand[sub] = cand
+                record((cand & -cand).bit_length() - 1)
+        for sub, cand in new_j.items():
+            if cand:
+                j_cand[sub] = cand
+                record((cand & -cand).bit_length() - 1)
+
+    counts = [0] * width
+    for a in chosen:
+        for p in bits(rows[a] & param_mask):
+            counts[p] += 1
+    defined = mask_of(p for p in bits(param_mask) if counts[p] >= k)
+    wrong = defined ^ sig
+    if wrong:
+        p = (wrong & -wrong).bit_length() - 1  # the first defect
+        rel = Relation(len(rows), width, tuple(rows))
+        ladder = find_relation_ladder(rel, k)
+        return DefinabilityDefect(k, tuple(chosen), p, counts[p], bool((sig >> p) & 1), ladder)
+    return DefinabilityWitnesses(k, tuple(chosen), defined, tuple(counts))
+
+
+def test_construct_matches_reference_construct():
+    # the mask construction against the subset-keyed one it replaced, with
+    # the arguments the callers passed it: seeded graphs with n <= 10 at
+    # three densities, every class, k = 1..5, and a random two-sided split
+    rng = random.Random(13)
+    outcomes = []
+    for trial in range(90):
+        n = rng.randrange(1, 11)
+        density = (0.2, 0.5, 0.8)[trial % 3]
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < density])
+        spectrum = type_spectrum(g)
+        rows = patched_rows(g, spectrum)
+        for cls in spectrum.classes:
+            for k in range(1, 6):
+                seed = rng.randrange(1 << 30)
+                want = reference_construct(
+                    list(range(n)), rows, list(range(n)), cls.signature, k,
+                    derive_rng(seed, "definability.graph"), n,
+                )
+                assert definability_witnesses(g, k, cls, seed, spectrum) == want
+                outcomes.append(type(want))
+        if n < 2:
+            continue
+        side = rng.randrange(1, g.full_mask)
+        params = g.full_mask & ~side
+        side_rows = tuple(g.adj[v] & params if (side >> v) & 1 else 0 for v in range(n))
+        for cls in side_types(g, side, params):
+            for k in range(1, 6):
+                seed = rng.randrange(1 << 30)
+                want = reference_construct(
+                    list(bits(side)), side_rows, list(bits(params)), cls.signature, k,
+                    derive_rng(seed, "definability.side"), n,
+                )
+                assert side_definability_witnesses(g, side, params, k, cls, seed) == want
+                outcomes.append(type(want))
+    assert DefinabilityWitnesses in outcomes and DefinabilityDefect in outcomes
