@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         _emit({"error": {"kind": "capacity", "reason": str(exc)}})
         return EXIT_CAPACITY
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         _emit({"error": {"kind": "input", "reason": str(exc)}})
         return EXIT_INPUT
 

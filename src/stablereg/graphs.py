@@ -8,6 +8,7 @@ in integer/rational arithmetic, never floats.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -203,7 +204,16 @@ class Graph:
         rows = []
         for v in verts:
             rows.append(mask_of(index[w] for w in bits(self.adj[v] & X)))
-        return Graph(len(verts), tuple(rows))
+        return _built(len(verts), rows)
+
+
+def _built(n: int, rows: Iterable[int]) -> Graph:
+    """A graph on n >= 1 rows that are in range, symmetric and loop-free by
+    construction, without the transpose of `Graph`'s checks on outside rows."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", tuple(rows))
+    return g
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -216,7 +226,9 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InputError(f"edge {u} {v} out of range for n={n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    if n <= 0:
+        raise InputError("graph needs at least one vertex")
+    return _built(n, rows)
 
 
 def _check_order(n: int) -> None:
@@ -232,14 +244,14 @@ def _check_order(n: int) -> None:
 def empty_graph(n: int) -> Graph:
     _positive(n, "empty")
     _check_order(n)
-    return Graph(n, (0,) * n)
+    return _built(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
     _positive(n, "complete")
     _check_order(n)
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return _built(n, (full ^ (1 << v) for v in range(n)))
 
 
 def half_graph(k: int) -> Graph:
@@ -251,7 +263,7 @@ def half_graph(k: int) -> Graph:
         for j in range(i, k + 1):
             rows[i - 1] |= 1 << (k + j - 1)
             rows[k + j - 1] |= 1 << (i - 1)
-    return Graph(2 * k, tuple(rows))
+    return _built(2 * k, rows)
 
 
 def matching_graph(m: int) -> Graph:
@@ -275,7 +287,7 @@ def clique_union(sizes: Iterable[int]) -> Graph:
         for v in range(start, start + s):
             rows[v] = block ^ (1 << v)
         start += s
-    return Graph(n, tuple(rows))
+    return _built(n, rows)
 
 
 def perturb(base: Graph, flip_count: int, seed: int) -> Graph:
@@ -290,17 +302,15 @@ def perturb(base: Graph, flip_count: int, seed: int) -> Graph:
         u, v = _pair_from_index(base.n, idx)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-    return Graph(base.n, tuple(rows))
+    return _built(base.n, rows)
 
 
 def _pair_from_index(n: int, idx: int) -> tuple[int, int]:
-    # Lexicographic rank over pairs (u, v), u < v.
-    u = 0
-    remaining = idx
-    while remaining >= n - 1 - u:
-        remaining -= n - 1 - u
-        u += 1
-    return u, u + 1 + remaining
+    """The pair (u, v), u < v, of lexicographic rank idx: reverse rank r lies
+    in row t = n - 2 - u from the end, where t(t+1)/2 <= r < (t+1)(t+2)/2."""
+    r = n * (n - 1) // 2 - 1 - idx
+    u = n - 2 - (math.isqrt(8 * r + 1) - 1) // 2
+    return u, idx - u * (2 * n - u - 1) // 2 + u + 1
 
 
 def _positive(value: int, name: str) -> None:
@@ -447,12 +457,8 @@ def parse_edge_list(text: str) -> Graph:
     if count != lines:
         return _read_lines(text)
     # `_or_edges` wrote both directions of every edge, and `_plain_edges`
-    # rejected self-loops and ends outside 0..n-1, so the rows are valid by
-    # construction and skip the transpose of `Graph.__post_init__`.
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "adj", tuple(int.from_bytes(row, "little") for row in adj))
-    return g
+    # rejected self-loops and ends outside 0..n-1
+    return _built(n, (int.from_bytes(row, "little") for row in adj))
 
 
 def _plain_edges(raw: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import config
 from .errors import CapacityError, InputError
 from .graphs import bits, mask_of
-from .pairs import cutoffs
+from .pairs import BANDS, band, cutoffs, margin
 from .partitions import ErrorFunction
 from .stability import Relation
 
@@ -414,19 +414,11 @@ def coset_report(
     h_size = subgroup.order
     lo, hi = cutoffs(h_size, gamma)
     rows = []
-    ok = True
     for coset in left_cosets(g, subgroup.elements):
         inter = (coset & a_mask).bit_count()
-        if inter < lo:
-            verdict = "low"
-        elif inter > hi:
-            verdict = "high"
-        else:
-            verdict = "fail"
-            ok = False
         rep = (coset & -coset).bit_length() - 1
-        rows.append(CosetRow(rep, coset, Fraction(inter, h_size), verdict))
-    return CosetReport(subgroup, gamma, tuple(rows), ok)
+        rows.append(CosetRow(rep, coset, Fraction(inter, h_size), BANDS[band(inter, lo, hi)]))
+    return CosetReport(subgroup, gamma, tuple(rows), all(row.verdict != "fail" for row in rows))
 
 
 def coset_regularity(
@@ -434,7 +426,8 @@ def coset_regularity(
 ) -> tuple[CosetReport, bool]:
     """Scan normal subgroups by increasing index; return the first passing
     report, or the best failing one (fewest failing cosets, then largest
-    minimum margin, then scan order) flagged not-certified."""
+    `pairs.margin` of the coset counts, then scan order) flagged
+    not-certified."""
     if a_mask & ~((1 << g.order) - 1):
         raise InputError("subset references elements out of range")
     candidates = normal_subgroups_up_to_index(g, max_index)
@@ -445,11 +438,8 @@ def coset_regularity(
         if report.passed:
             return report, True
         fails = sum(1 for row in report.cosets if row.verdict == "fail")
-        margin = min(
-            max(report.sigma_value - row.fraction, row.fraction - (1 - report.sigma_value))
-            for row in report.cosets
-        )
-        key = (fails, -margin)
+        counts = [(row.elements & a_mask).bit_count() for row in report.cosets]
+        key = (fails, -margin(counts, sub.order, report.sigma_value))
         if best_key is None or key < best_key:
             best, best_key = report, key
     if best is None:

@@ -45,10 +45,32 @@ def cutoffs(size: int, eps: Fraction) -> tuple[int, int]:
 
     With eps = p/q: c < p size / q iff c < ceil(p size / q), and
     c > (q - p) size / q iff c > floor((q - p) size / q). Both bands hold at
-    once when eps > 1/2; callers that need one verdict let low win.
+    once when eps > 1/2; `band` gives the one verdict, and low wins. How far
+    c lies inside a band, max(eps - c/size, c/size - (1 - eps)), equals
+    |c/size - 1/2| + eps - 1/2 and is positive exactly when c is low or high.
     """
     p, q = eps.numerator, eps.denominator
     return -(-p * size // q), (q - p) * size // q
+
+
+BANDS = ("low", "high", "fail")
+
+
+def band(count, lo, hi):
+    """Index into `BANDS` of a count against `cutoffs` bounds, low winning,
+    on ints and elementwise on numpy arrays. The goodness and excellence
+    scans keep `lo <= c <= hi` inline, as a call per row of V costs about two
+    thirds more, and `_split` keeps two flags: `lopsided` reports members in
+    both bands when eps > 1/2."""
+    return (count >= lo) * (2 - (count > hi))
+
+
+def margin(counts, size: int, eps: Fraction) -> Fraction:
+    """min over c in counts of max(eps - c/size, c/size - (1 - eps)), from
+    the count nearest size/2 (see `cutoffs`): positive exactly when every
+    count is low or high. So for eps > 0, X is eps-good iff the margin of
+    |N(b) & X| over b in V is positive."""
+    return eps - Fraction(1, 2) + Fraction(min(abs(2 * c - size) for c in counts), 2 * size)
 
 
 def lopsided(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[int, int]:
@@ -131,11 +153,8 @@ def _kind(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[str, int, int]:
     _check_eps(eps)
     num, den = g.density_pair(X, Y)
     lo, hi = cutoffs(den, eps)
-    if num < lo:
-        return "homogeneous-low", num, den
-    if num > hi:
-        return "homogeneous-high", num, den
-    return "not-homogeneous", num, den
+    kinds = ("homogeneous-low", "homogeneous-high", "not-homogeneous")
+    return kinds[band(num, lo, hi)], num, den
 
 
 def homogeneity(g: Graph, X: int, Y: int, eps: Fraction) -> PairVerdict:

@@ -18,7 +18,7 @@ import numpy as np
 from . import config
 from .errors import CapacityError, InputError, PreconditionError
 from .graphs import Graph, bits, mask_of, vertex_list
-from .pairs import cutoffs, good_set_violation, is_good_set
+from .pairs import BANDS, band, cutoffs, good_set_violation, is_good_set, margin
 from .typeclasses import type_spectrum
 
 
@@ -203,20 +203,20 @@ def partition_from_json(data: dict) -> Partition:
 
 def type_mass_partition(g: Graph, eps: Fraction) -> Partition:
     """Keep the heaviest type classes until their mass exceeds 1 - eps; pool
-    the remainder into the exceptional block."""
+    the remainder into the exceptional block. The kept size is an integer,
+    so it exceeds (1 - eps) n exactly when it exceeds `cutoffs(n, eps)[1]`."""
     if not 0 < eps < 1:
         raise InputError("eps must lie strictly in (0,1)")
     spectrum = type_spectrum(g)
-    need = Fraction(1) - eps
-    total = Fraction(0)
+    need = cutoffs(g.n, eps)[1]
+    size = pooled = 0
     kept: list[int] = []
-    pooled = 0
     for cls in spectrum.classes:
-        if total > need:
+        if size > need:
             pooled |= cls.members
         else:
             kept.append(cls.members)
-            total += Fraction(cls.size, g.n)
+            size += cls.size
     params = {"epsilon": eps, "m": len(kept), "source": "type_mass"}
     return Partition(g.n, pooled, tuple(kept), params)
 
@@ -322,61 +322,53 @@ def _first_good_partition(g: Graph, rest: int, m: int, good) -> list[int] | None
 
 
 def _search_greedy(g: Graph, eps: Fraction, sigma: ErrorFunction) -> SearchResult:
-    """Start from the type-mass partition and merge part pairs whose union is
-    good at the reduced count, preferring merges that maximize the minimum
-    slack; ties break on part indices."""
+    """Merge type-mass parts while some part is bad, ranking merges by slack.
+
+    The slack of X at gamma is `pairs.margin` of |N(b) & X| over b in V,
+    positive exactly when X is gamma-good. Parts keep their count vectors
+    and a union adds two, so a round costs O(m^2 n). It takes the first
+    pair i < j, in index order, whose union has positive slack at
+    sigma(m - 1) and maximizes the least slack of the merged state. A state
+    scores (parts with slack <= 0, -least slack) at sigma of its part count;
+    the last state stands unless it is bad and an earlier one scored lower.
+    """
     base = type_mass_partition(g, eps)
     parts = list(base.parts)
+    counts = [[(row & part).bit_count() for row in g.adj] for part in parts]
 
-    def slack(block: int, gamma: Fraction) -> Fraction:
-        size = block.bit_count()
-        worst: Fraction | None = None
-        for b in range(g.n):
-            c = (g.adj[b] & block).bit_count()
-            margin = max(gamma - Fraction(c, size), Fraction(c, size) - (1 - gamma))
-            if worst is None or margin < worst:
-                worst = margin
-        return worst
+    def slacks(gamma: Fraction) -> list[Fraction]:
+        return [margin(c, p.bit_count(), gamma) for c, p in zip(counts, parts)]
 
-    def state_score(blocks: list[int], gamma: Fraction) -> tuple[int, Fraction]:
-        # lexicographically smaller is better: fewer bad parts, then more slack
-        bad = sum(1 for blk in blocks if not is_good_set(g, blk, gamma))
-        return bad, -min(slack(blk, gamma) for blk in blocks)
+    def score(gamma: Fraction) -> tuple[int, Fraction]:
+        now = slacks(gamma)
+        return sum(1 for s in now if s <= 0), -min(now)
 
-    best_blocks = list(parts)
-    best_score = state_score(parts, sigma(len(parts)))
-
-    while len(parts) > 1:
-        gamma_now = sigma(len(parts))
-        if all(is_good_set(g, blk, gamma_now) for blk in parts):
-            break
-        gamma_next = sigma(len(parts) - 1)
-        candidates: list[tuple[Fraction, int, int]] = []
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                union = parts[i] | parts[j]
-                if is_good_set(g, union, gamma_next):
-                    merged = [p for t, p in enumerate(parts) if t not in (i, j)]
-                    merged.append(union)
-                    candidates.append((min(slack(b, gamma_next) for b in merged), i, j))
+    best_parts = parts
+    best_score = last_score = score(sigma(len(parts)))
+    while len(parts) > 1 and last_score[0]:
+        gamma = sigma(len(parts) - 1)
+        stay = slacks(gamma)
+        by_slack = sorted(range(len(parts)), key=stay.__getitem__)
+        candidates = []
+        for i, j in combinations(range(len(parts)), 2):
+            union = [a + b for a, b in zip(counts[i], counts[j])]
+            joint = margin(union, parts[i].bit_count() + parts[j].bit_count(), gamma)
+            if joint > 0:
+                other = next((stay[k] for k in by_slack if k != i and k != j), joint)
+                candidates.append((-min(joint, other), i, j))
         if not candidates:
             break
-        candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-        _, i, j = candidates[0]
-        union = parts[i] | parts[j]
-        parts = [p for t, p in enumerate(parts) if t not in (i, j)] + [union]
-        score = state_score(parts, sigma(len(parts)))
-        if score < best_score:
-            best_score, best_blocks = score, list(parts)
+        _, i, j = min(candidates)
+        keep = [t for t in range(len(parts)) if t not in (i, j)]
+        parts = [parts[t] for t in keep] + [parts[i] | parts[j]]
+        counts = [counts[t] for t in keep] + [[a + b for a, b in zip(counts[i], counts[j])]]
+        last_score = score(sigma(len(parts)))
+        if last_score < best_score:
+            best_score, best_parts = last_score, parts
 
-    gamma = sigma(len(parts))
-    certified = all(is_good_set(g, blk, gamma) for blk in parts)
-    if not certified:
-        final_score = state_score(parts, gamma)
-        if best_score < final_score:
-            parts = best_blocks
-            gamma = sigma(len(parts))
-            certified = all(is_good_set(g, blk, gamma) for blk in parts)
+    if best_score < last_score:  # a certified last state scores least
+        parts, last_score = best_parts, best_score
+    certified = not last_score[0]
     params = {
         "epsilon": eps,
         "sigma": sigma.describe(),
@@ -489,12 +481,12 @@ def equipartition_refine(
 # Regularity verification
 
 
-_PAIR_KINDS = np.array(("low", "high", "fail"), dtype=object)
+_PAIR_KINDS = np.array(BANDS, dtype=object)
 
 
 def _pair_codes(g: Graph, parts: tuple[int, ...], sizes: list[int], gamma: Fraction):
-    """Yield, part by part, the codes (0 low, 1 high, 2 fail) of row i of
-    the ordered pair matrix, as an int array over the parts."""
+    """Yield, part by part, the `pairs.band` codes (0 low, 1 high, 2 fail)
+    of row i of the ordered pair matrix, as an int array over the parts."""
     if not parts:
         return
     distinct, size_index = np.unique(sizes, return_inverse=True)
@@ -512,9 +504,7 @@ def _pair_codes(g: Graph, parts: tuple[int, ...], sizes: list[int], gamma: Fract
             row = np.frombuffer(g.adj[a].to_bytes(nbytes, "little"), np.uint8)
             seen += np.unpackbits(row, count=g.n, bitorder="little")
         counts = np.add.reduceat(seen[order], starts)
-        low = counts < low_at[size_index[i]][size_index]
-        high = counts > high_at[size_index[i]][size_index]
-        yield np.where(low, 0, np.where(high, 1, 2))
+        yield band(counts, low_at[size_index[i]][size_index], high_at[size_index[i]][size_index])
 
 
 @dataclass(frozen=True)
@@ -541,12 +531,10 @@ def verify_regularity(
 
     The pair counts e(Xi, Yj) come one row i at a time: the adjacency rows
     of Xi's members are summed into one integer vector over V, which is then
-    reduced part by part. With d = |Xi||Yj|, a count is low below and high
-    above the integer bounds `pairs.cutoffs(d, gamma)`, ceil(gamma d) and
-    floor((1 - gamma) d); low wins when both hold. The bounds are computed
-    exactly in Python ints once per pair of distinct part sizes and never
-    exceed d <= n^2, so the int64 comparisons are exact. Memory stays O(n)
-    per row.
+    reduced part by part. With d = |Xi||Yj|, `pairs.band` classes each count
+    against `pairs.cutoffs(d, gamma)`, computed in Python ints once per pair
+    of distinct part sizes; they never exceed d <= n^2, so the int64
+    comparisons are exact. Memory stays O(n) per row.
     """
     if partition.n != g.n:
         raise InputError("partition and graph disagree on the vertex count")

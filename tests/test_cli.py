@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stablereg
 from stablereg import config
 from stablereg.cli import _emit, main
 from stablereg.graphs import parse_edge_list, parse_family
@@ -401,3 +406,48 @@ def test_emit_writes_the_bytes_of_indented_json_dumps(value):
     with redirect_stdout(out):
         _emit(value)
     assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["types", "--input", "{path}"],
+        ["types", "--input", "-"],
+        ["verify", "--family", "empty(2)", "--partition", "{path}", "--epsilon", "1/2", "--sigma", "1/2"],
+        ["group", "--input", "{path}", "--set", "0", "--sigma", "1/2"],
+    ],
+)
+def test_non_utf8_input_is_input_error(capsys, tmp_path, monkeypatch, argv):
+    raw = b"\xff\xfe2 1\n0 1\n"
+    path = tmp_path / "raw.bin"
+    path.write_bytes(raw)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code, payload = run_json(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert payload["error"]["kind"] == "input"
+    assert "can't decode byte 0xff" in payload["error"]["reason"]
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_the_package():
+    # setup time is the fresh-process import of the package and its CLI
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import stablereg, stablereg.cli\n"
+        "new = sorted({name.split('.')[0] for name in set(sys.modules) - before})\n"
+        "print(' '.join(new))\n"
+        "print('stablereg.acceptance' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(stablereg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    names, acceptance_loaded = done.stdout.splitlines()
+    foreign = [
+        name
+        for name in names.split()
+        if name not in sys.stdlib_module_names and name not in ("numpy", "stablereg")
+    ]
+    assert foreign == []
+    assert acceptance_loaded == "False"

@@ -151,6 +151,9 @@ partition_documents = st.one_of(
     st.sampled_from(MALFORMED_PARTITIONS),
 )
 
+# files that are not UTF-8 text: a leading 0xff byte never decodes
+raw_files = st.binary(max_size=6).map(lambda tail: b"\xff" + tail)
+
 
 def _blocks_of(spec):
     """Partitions of the family's vertices into consecutive blocks, so that
@@ -196,15 +199,19 @@ def invocations(draw, out_path, partition_path):
         argv = family + ["--epsilon", draw(fractions), "--sigma", draw(sigmas)]
         argv += draw(_maybe("--mode", st.sampled_from(["exact", "greedy", "fast"])))
     elif command in ("refine", "verify"):
-        document = draw(st.one_of(partition_documents, _blocks_of(family[1])))
+        document = draw(st.one_of(partition_documents, _blocks_of(family[1]), raw_files))
         argv = family + ["--partition", partition_path, "--epsilon", draw(fractions), "--sigma", draw(sigmas)]
     elif command == "group":
         source = draw(
             _mostly(
                 st.one_of(ints.map(lambda v: ["--cyclic", v]), ints.map(lambda v: ["--dihedral", v])),
-                st.sampled_from([["--input", partition_path + ".missing"], []]),
+                st.sampled_from(
+                    [["--input", partition_path + ".missing"], ["--input", partition_path], []]
+                ),
             )
         )
+        if source == ["--input", partition_path]:
+            document = draw(st.one_of(partition_documents, raw_files))
         argv = source + ["--set", draw(vertex_sets), "--sigma", draw(sigmas)]
         argv += draw(_maybe("--max-index", ints)) + draw(_maybe("--stability-cap", ints))
     else:
@@ -251,7 +258,10 @@ def test_cli_contract_fuzz(tmp_path):
     @settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def check(invocation):
         command, argv, document = invocation
-        if document is not None:
+        if isinstance(document, bytes):
+            with open(partition_path, "wb") as fh:
+                fh.write(document)
+        elif document is not None:
             with open(partition_path, "w", encoding="utf-8") as fh:
                 json.dump(document, fh)
         code, out, err = _run(argv)

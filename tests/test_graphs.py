@@ -558,3 +558,38 @@ def test_set_range_check_matches_full_mask_rule():
                         call()
                 elif X:
                     call()
+
+
+def test_pair_from_index_matches_lexicographic_walk():
+    def walk(n, idx):
+        u = 0
+        while idx >= n - 1 - u:
+            idx -= n - 1 - u
+            u += 1
+        return u, u + 1 + idx
+
+    for n in range(2, 60):
+        for idx in range(n * (n - 1) // 2):
+            assert graphs_module._pair_from_index(n, idx) == walk(n, idx), (n, idx)
+    rng = random.Random(20261023)
+    for _ in range(300):
+        n = rng.randint(2, 20_000)
+        idx = rng.randrange(n * (n - 1) // 2)
+        assert graphs_module._pair_from_index(n, idx) == walk(n, idx), (n, idx)
+
+
+def test_family_graphs_pass_the_checks_they_skip():
+    rng = random.Random(20261024)
+    for _ in range(200):
+        built = [
+            empty_graph(rng.randint(1, 9)),
+            complete_graph(rng.randint(1, 9)),
+            half_graph(rng.randint(1, 5)),
+            clique_union([rng.randint(1, 4) for _ in range(rng.randint(1, 4))]),
+        ]
+        base = rng.choice(built)
+        built.append(perturb(base, rng.randint(0, base.n * (base.n - 1) // 2), rng.randint(0, 99)))
+        built.append(base.induced(rng.randint(1, base.full_mask)))
+        for g in built:
+            assert type(g.adj) is tuple and all(type(row) is int for row in g.adj)
+            assert Graph(g.n, g.adj) == g

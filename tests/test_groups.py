@@ -489,3 +489,32 @@ def test_group_table_checks_fire_in_order():
         assert str(info.value) == message, table
     g = FiniteGroup([[1, 0], [0, 1]])  # Z2 with the identity at 1
     assert (g.identity, g.inverses) == (1, (0, 1))
+
+
+def test_failing_coset_choice_matches_fraction_margin():
+    # the choice as first written: fewest failing cosets, then the largest
+    # least distance of a coset fraction into a band, then scan order
+    rng = random.Random(20261022)
+    groups = [cyclic_group(12), dihedral_group(6), direct_product(cyclic_group(2), cyclic_group(8))]
+    groups += [dihedral_group(5), cyclic_group(30)]
+    sigmas = [ErrorFunction.parse(s) for s in ("1/4", "inverse(1/2)", "table(1/3,1/5,1/8)")]
+    failing = 0
+    for _ in range(300):
+        g = rng.choice(groups)
+        a_mask = rng.randrange(1 << g.order)
+        sigma = rng.choice(sigmas)
+        max_index = rng.randint(2, 4)
+        report, certified = coset_regularity(g, a_mask, sigma, max_index)
+        if certified:
+            continue
+        failing += 1
+        best, best_key = None, None
+        for sub in normal_subgroups_up_to_index(g, max_index):
+            rows = coset_report(g, a_mask, sub, sigma).cosets
+            gamma = sigma(sub.index)
+            fails = sum(1 for row in rows if row.verdict == "fail")
+            worst = min(max(gamma - row.fraction, row.fraction - (1 - gamma)) for row in rows)
+            if best_key is None or (fails, -worst) < best_key:
+                best, best_key = sub, (fails, -worst)
+        assert report.subgroup == best
+    assert failing >= 100

@@ -1,6 +1,8 @@
 from fractions import Fraction
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from stablereg.graphs import (
     vertex_list,
 )
 from stablereg.pairs import (
+    BANDS,
+    band,
     cutoffs,
     excellence_report,
     good_set_violation,
@@ -29,6 +33,7 @@ from stablereg.pairs import (
     is_homogeneous,
     is_special,
     lopsided,
+    margin,
     special_witness,
     threshold_sets,
 )
@@ -126,6 +131,47 @@ def test_cutoffs_match_fraction_definition(size, eps):
     for c in range(size + 1):
         assert (c < lo) == (c < eps * size), (c, size, eps)
         assert (c > hi) == (c > (1 - eps) * size), (c, size, eps)
+
+
+def test_band_matches_fraction_definition():
+    grid = sorted({F(p, q) for q in range(1, 9) for p in range(1, 3 * q // 2 + 1)})
+    assert any(eps > F(1, 2) for eps in grid)
+    for size in range(1, 13):
+        counts = np.arange(size + 1)
+        for eps in grid:
+            lo, hi = cutoffs(size, eps)
+            want = [
+                "low" if c < eps * size else "high" if c > (1 - eps) * size else "fail"
+                for c in range(size + 1)
+            ]
+            assert [BANDS[band(c, lo, hi)] for c in range(size + 1)] == want, (size, eps)
+            codes = band(counts, lo, hi)
+            assert codes.tolist() == [band(c, lo, hi) for c in range(size + 1)]
+            # per-count bounds, as the pair matrix passes them
+            lows, highs = np.full(size + 1, lo), np.full(size + 1, hi)
+            assert band(counts, lows, highs).tolist() == codes.tolist()
+
+
+def test_margin_matches_fraction_definition():
+    rng = random.Random(20261021)
+    for _ in range(2000):
+        size = rng.randint(1, 30)
+        counts = [rng.randint(0, size) for _ in range(rng.randint(1, 8))]
+        q = rng.randint(2, 12)
+        eps = F(rng.randint(1, q - 1), q)
+        want = min(max(eps - F(c, size), F(c, size) - (1 - eps)) for c in counts)
+        assert margin(counts, size, eps) == want
+        lo, hi = cutoffs(size, eps)
+        assert (margin(counts, size, eps) > 0) == all(band(c, lo, hi) != 2 for c in counts)
+
+
+@given(graphs(max_n=7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_goodness_is_positive_margin(g, data):
+    X = data.draw(st.integers(min_value=1, max_value=g.full_mask))
+    eps = data.draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(2, 3)]))
+    counts = [(row & X).bit_count() for row in g.adj]
+    assert is_good_set(g, X, eps) == (margin(counts, X.bit_count(), eps) > 0)
 
 
 def _degree(g, a, Y):

@@ -22,6 +22,7 @@ from stablereg.partitions import (
     ErrorFunction,
     Partition,
     RegularityReport,
+    SearchResult,
     check_refine_precondition,
     equipartition_refine,
     good_partition_search,
@@ -33,6 +34,7 @@ from stablereg.partitions import (
     type_mass_partition,
     verify_regularity,
 )
+from stablereg.typeclasses import type_spectrum
 from tests.test_graphs import graphs
 
 F = Fraction
@@ -654,3 +656,117 @@ def test_refine_raises_the_precondition_check_reason():
             equipartition_refine(g, base, F(1, 2), sigma)
         assert str(caught.value) == reason
     assert "part 1 " in check_refine_precondition(g, cases[0], F(1, 2), sigma)[1]
+
+
+def reference_search_greedy(g, eps, sigma):
+    """The greedy search as first written, with a per-vertex Fraction slack
+    and `is_good_set` scans; the oracle for `_search_greedy`."""
+    base = type_mass_partition(g, eps)
+    parts = list(base.parts)
+
+    def slack(block: int, gamma: Fraction) -> Fraction:
+        size = block.bit_count()
+        worst: Fraction | None = None
+        for b in range(g.n):
+            c = (g.adj[b] & block).bit_count()
+            margin = max(gamma - Fraction(c, size), Fraction(c, size) - (1 - gamma))
+            if worst is None or margin < worst:
+                worst = margin
+        return worst
+
+    def state_score(blocks: list[int], gamma: Fraction) -> tuple[int, Fraction]:
+        # lexicographically smaller is better: fewer bad parts, then more slack
+        bad = sum(1 for blk in blocks if not is_good_set(g, blk, gamma))
+        return bad, -min(slack(blk, gamma) for blk in blocks)
+
+    best_blocks = list(parts)
+    best_score = state_score(parts, sigma(len(parts)))
+
+    while len(parts) > 1:
+        gamma_now = sigma(len(parts))
+        if all(is_good_set(g, blk, gamma_now) for blk in parts):
+            break
+        gamma_next = sigma(len(parts) - 1)
+        candidates: list[tuple[Fraction, int, int]] = []
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                union = parts[i] | parts[j]
+                if is_good_set(g, union, gamma_next):
+                    merged = [p for t, p in enumerate(parts) if t not in (i, j)]
+                    merged.append(union)
+                    candidates.append((min(slack(b, gamma_next) for b in merged), i, j))
+        if not candidates:
+            break
+        candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+        _, i, j = candidates[0]
+        union = parts[i] | parts[j]
+        parts = [p for t, p in enumerate(parts) if t not in (i, j)] + [union]
+        score = state_score(parts, sigma(len(parts)))
+        if score < best_score:
+            best_score, best_blocks = score, list(parts)
+
+    gamma = sigma(len(parts))
+    certified = all(is_good_set(g, blk, gamma) for blk in parts)
+    if not certified:
+        final_score = state_score(parts, gamma)
+        if best_score < final_score:
+            parts = best_blocks
+            gamma = sigma(len(parts))
+            certified = all(is_good_set(g, blk, gamma) for blk in parts)
+    params = {
+        "epsilon": eps,
+        "sigma": sigma.describe(),
+        "m": len(parts),
+        "sigma_at_m": sigma(len(parts)),
+        "source": "search_greedy",
+        "certified": certified,
+    }
+    return SearchResult(
+        Partition(g.n, base.exceptional, tuple(parts), params), certified, "greedy"
+    )
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_greedy_search_matches_reference():
+    rng = random.Random(20261019)
+    sigmas = [ErrorFunction.parse(s) for s in ("1/2", "inverse(1/2)", "table(1/2,1/3,1/5)")]
+    merged = 0
+    for case in range(1200):
+        g = _random_graph(rng, rng.randint(1, 16))
+        eps = (F(1, 8), F(1, 4), F(1, 2))[case % 3]
+        sigma = sigmas[case // 3 % 3]
+        got = good_partition_search(g, eps, sigma, "greedy")
+        want = reference_search_greedy(g, eps, sigma)
+        assert (got, got.partition.params) == (want, want.partition.params), (g, eps, sigma)
+        merged += got.partition.m < type_mass_partition(g, eps).m
+    assert merged >= 100  # 128 of the 1200 merge
+
+
+def test_greedy_search_falls_back_to_best_state():
+    # the merges end on a state that scores worse than the type-mass start
+    g = Graph(6, (22, 61, 59, 54, 47, 30))
+    sigma = ErrorFunction.parse("table(2/5,1/2,1/3,1/2,1/4,1/2,1/5)")
+    result = good_partition_search(g, F(1, 8), sigma, "greedy")
+    assert result == reference_search_greedy(g, F(1, 8), sigma)
+    assert result.partition.parts == (22, 40, 1)
+    assert not result.certified and not result.partition.params["certified"]
+
+
+def test_type_mass_partition_matches_fraction_accumulation():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(1, 14))
+        q = rng.randint(2, 12)
+        eps = F(rng.randint(1, q - 1), q)
+        total, kept = F(0), []
+        for cls in type_spectrum(g).classes:
+            if total <= 1 - eps:
+                kept.append(cls.members)
+                total += F(cls.size, g.n)
+        got = type_mass_partition(g, eps)
+        assert got.parts == tuple(kept), (g, eps)
+        assert got.exceptional == g.full_mask & ~mask_of(v for part in kept for v in vertex_list(part))
