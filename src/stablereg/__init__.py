@@ -1,150 +1,60 @@
-"""Exact regularity calculus for stable finite graphs and finite groups."""
+"""Exact regularity calculus for stable finite graphs and finite groups.
 
-from .errors import CapacityError, InputError, PreconditionError, StableRegError
-from .graphs import (
-    Graph,
-    clique_union,
-    complete_graph,
-    empty_graph,
-    from_edges,
-    half_graph,
-    mask_of,
-    matching_graph,
-    parse_edge_list,
-    parse_family,
-    perturb,
-    to_edge_list,
-    vertex_list,
-)
-from .groups import (
-    CosetReport,
-    FiniteGroup,
-    Subgroup,
-    coset_regularity,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    normal_subgroups_up_to_index,
-    translate_relation,
-)
-from .pairs import (
-    PairVerdict,
-    SpecialWitness,
-    homogeneity,
-    is_almost_good,
-    is_excellent,
-    is_good_pair,
-    is_good_set,
-    is_homogeneous,
-    is_special,
-    special_witness,
-    threshold_sets,
-)
-from .partitions import (
-    ErrorFunction,
-    Partition,
-    PipelineResult,
-    RegularityReport,
-    SearchResult,
-    equipartition_refine,
-    good_partition_search,
-    parse_fraction,
-    regularity_pipeline,
-    type_mass_partition,
-    verify_regularity,
-)
-from .stability import (
-    Ladder,
-    Relation,
-    find_ladder,
-    find_relation_ladder,
-    graph_relation,
-    is_k_stable,
-    ladder_exists_naive,
-    ladder_exists_scan,
-    ladder_index,
-    relation_ladder_index,
-)
-from .typeclasses import (
-    DefinabilityDefect,
-    DefinabilityWitnesses,
-    HarringtonResult,
-    TypeClass,
-    TypeSpectrum,
-    definability_witnesses,
-    harrington_check,
-    patched_rows,
-    side_types,
-    type_spectrum,
-)
+Names resolve on first use (PEP 562): `_SOURCES` maps each public name to
+the submodule that defines it, and the first lookup of a name imports that
+submodule and caches the name here. So `import stablereg` loads no
+submodule, a program loads only the submodules whose names it uses, and
+`stablereg.graphs` and the other submodules resolve as attributes too.
+"""
 
-__all__ = [
-    "CapacityError",
-    "CosetReport",
-    "DefinabilityDefect",
-    "DefinabilityWitnesses",
-    "ErrorFunction",
-    "FiniteGroup",
-    "Graph",
-    "HarringtonResult",
-    "InputError",
-    "Ladder",
-    "PairVerdict",
-    "Partition",
-    "PipelineResult",
-    "PreconditionError",
-    "RegularityReport",
-    "Relation",
-    "SearchResult",
-    "SpecialWitness",
-    "StableRegError",
-    "Subgroup",
-    "TypeClass",
-    "TypeSpectrum",
-    "clique_union",
-    "complete_graph",
-    "coset_regularity",
-    "cyclic_group",
-    "definability_witnesses",
-    "dihedral_group",
-    "direct_product",
-    "empty_graph",
-    "equipartition_refine",
-    "find_ladder",
-    "find_relation_ladder",
-    "from_edges",
-    "good_partition_search",
-    "graph_relation",
-    "half_graph",
-    "harrington_check",
-    "homogeneity",
-    "is_almost_good",
-    "is_excellent",
-    "is_good_pair",
-    "is_good_set",
-    "is_homogeneous",
-    "is_k_stable",
-    "is_special",
-    "ladder_exists_naive",
-    "ladder_exists_scan",
-    "ladder_index",
-    "mask_of",
-    "matching_graph",
-    "normal_subgroups_up_to_index",
-    "parse_edge_list",
-    "parse_family",
-    "parse_fraction",
-    "patched_rows",
-    "perturb",
-    "regularity_pipeline",
-    "relation_ladder_index",
-    "side_types",
-    "special_witness",
-    "threshold_sets",
-    "to_edge_list",
-    "translate_relation",
-    "type_mass_partition",
-    "type_spectrum",
-    "verify_regularity",
-    "vertex_list",
-]
+from importlib import import_module
+
+_SOURCES = {
+    name: module
+    for module, names in {
+        "errors": "CapacityError InputError PreconditionError StableRegError",
+        "graphs": (
+            "Graph clique_union complete_graph empty_graph from_edges half_graph mask_of"
+            " matching_graph parse_edge_list parse_family perturb to_edge_list vertex_list"
+        ),
+        "groups": (
+            "CosetReport FiniteGroup Subgroup coset_regularity cyclic_group dihedral_group"
+            " direct_product normal_subgroups_up_to_index translate_relation"
+        ),
+        "pairs": (
+            "PairVerdict SpecialWitness homogeneity is_almost_good is_excellent is_good_pair"
+            " is_good_set is_homogeneous is_special parse_fraction special_witness threshold_sets"
+        ),
+        "partitions": (
+            "ErrorFunction Partition PipelineResult RegularityReport SearchResult"
+            " equipartition_refine good_partition_search regularity_pipeline"
+            " type_mass_partition verify_regularity"
+        ),
+        "stability": (
+            "Ladder Relation find_ladder find_relation_ladder graph_relation is_k_stable"
+            " ladder_exists_naive ladder_exists_scan ladder_index relation_ladder_index"
+        ),
+        "typeclasses": (
+            "DefinabilityDefect DefinabilityWitnesses HarringtonResult TypeClass TypeSpectrum"
+            " definability_witnesses harrington_check patched_rows side_types type_spectrum"
+        ),
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = {*_SOURCES.values(), "acceptance", "cli", "config", "rng"}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

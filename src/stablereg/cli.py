@@ -4,6 +4,9 @@ Every subcommand prints a single JSON document on stdout and exits with
 0 on success, 1 on a certified negative verdict, 2 on an input error and
 3 on a capacity error. All randomness flows from --seed through labeled
 child streams, so identical invocations produce identical bytes.
+
+Each subcommand imports the modules it runs when it runs, so a call loads
+only those; the package's public names resolve here too, as in the package.
 """
 
 from __future__ import annotations
@@ -12,59 +15,29 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InputError
-from .graphs import (
-    Graph,
-    parse_edge_list,
-    parse_family,
-    parse_vertex_set,
-    to_edge_list,
-    vertex_list,
-)
-from .groups import (
-    FiniteGroup,
-    coset_regularity,
-    cyclic_group,
-    dihedral_group,
-    group_from_json,
-    translate_relation,
-)
-from .pairs import (
-    excellence_report,
-    homogeneity,
-    is_almost_good,
-    is_good_pair,
-    is_good_set,
-    special_witness,
-)
-from .partitions import (
-    ErrorFunction,
-    RegularityReport,
-    equipartition_refine,
-    good_partition_search,
-    parse_fraction,
-    partition_from_json,
-    partition_to_json,
-    verify_regularity,
-)
-from .stability import (
-    _index_and_ladder,
-    find_relation_ladder,
-    graph_relation,
-    relation_ladder_index,
-)
-from .typeclasses import (
-    DefinabilityWitnesses,
-    definability_witnesses,
-    type_spectrum,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .graphs import Graph
+    from .groups import FiniteGroup
+    from .partitions import RegularityReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+
+
+def __getattr__(name: str) -> object:
+    """`stablereg.cli.X` is `stablereg.X` for each public name X."""
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -103,6 +76,8 @@ def _emit(payload: object) -> None:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
+    from .graphs import parse_edge_list, parse_family
+
     if getattr(args, "family", None):
         return parse_family(args.family)
     if getattr(args, "input", None):
@@ -133,6 +108,8 @@ def _ladder_json(lad) -> dict | None:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
+    from .stability import _index_and_ladder, find_relation_ladder, graph_relation
+
     g = _load_graph(args)
     rel = graph_relation(g)
     cap = args.cap if args.cap is not None else g.n
@@ -150,6 +127,17 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_pairs(args: argparse.Namespace) -> int:
+    from .graphs import parse_vertex_set, vertex_list
+    from .pairs import (
+        excellence_report,
+        homogeneity,
+        is_almost_good,
+        is_good_pair,
+        is_good_set,
+        parse_fraction,
+        special_witness,
+    )
+
     g = _load_graph(args)
     X = parse_vertex_set(args.x, g.n)
     Y = parse_vertex_set(args.y, g.n)
@@ -179,6 +167,11 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_types(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from .graphs import vertex_list
+    from .typeclasses import type_spectrum
+
     g = _load_graph(args)
     spectrum = type_spectrum(g)
     payload = [
@@ -194,6 +187,9 @@ def _cmd_types(args: argparse.Namespace) -> int:
 
 
 def _cmd_define(args: argparse.Namespace) -> int:
+    from .graphs import vertex_list
+    from .typeclasses import DefinabilityWitnesses, definability_witnesses, type_spectrum
+
     g = _load_graph(args)
     spectrum = type_spectrum(g)
     cls = spectrum.class_of(args.member)
@@ -228,6 +224,8 @@ def _cmd_define(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from .partitions import ErrorFunction, good_partition_search, parse_fraction, partition_to_json
+
     g = _load_graph(args)
     eps = parse_fraction(args.epsilon)
     sigma = ErrorFunction.parse(args.sigma)
@@ -243,6 +241,14 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
+    from .partitions import (
+        ErrorFunction,
+        equipartition_refine,
+        parse_fraction,
+        partition_from_json,
+        partition_to_json,
+    )
+
     g = _load_graph(args)
     eps = parse_fraction(args.epsilon)
     sigma = ErrorFunction.parse(args.sigma)
@@ -268,6 +274,8 @@ def _report_json(report: RegularityReport) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .partitions import ErrorFunction, parse_fraction, partition_from_json, verify_regularity
+
     g = _load_graph(args)
     eps = parse_fraction(args.epsilon)
     sigma = ErrorFunction.parse(args.sigma)
@@ -279,6 +287,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
+    from .groups import cyclic_group, dihedral_group, group_from_json
+
     if args.cyclic is not None:
         return cyclic_group(args.cyclic)
     if args.dihedral is not None:
@@ -290,6 +300,11 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
+    from .graphs import parse_vertex_set, vertex_list
+    from .groups import coset_regularity, translate_relation
+    from .partitions import ErrorFunction
+    from .stability import relation_ladder_index
+
     g = _load_group(args)
     a_mask = parse_vertex_set(args.set, g.order)
     sigma = ErrorFunction.parse(args.sigma)
@@ -311,7 +326,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
         "pass": report.passed,
         "certified": certified,
     }
-    if args.stability_cap:
+    if args.stability_cap is not None:
         rel = translate_relation(g, a_mask)
         payload["translated_ladder_index"] = relation_ladder_index(rel, args.stability_cap)
     _emit(payload)
@@ -319,6 +334,8 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .graphs import parse_family, to_edge_list
+
     g = parse_family(args.family)
     text = to_edge_list(g)
     if args.out and args.out != "-":

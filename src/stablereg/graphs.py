@@ -13,12 +13,16 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import config
 from .errors import CapacityError, InputError
 from .rng import derive_rng
+
+# numpy is imported inside the kernels that use it, so a process that only
+# builds family graphs or runs the pure-Python layers never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -53,6 +57,8 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     per bit, transposed and packed again in blocks of 256 rows, so the
     scratch space is O(256 * width) bytes besides the packed result.
     """
+    import numpy as np
+
     nbytes = (width + 7) // 8
     stride = (len(rows) + 7) // 8
     packed = np.zeros((width, stride), dtype=np.uint8)
@@ -445,6 +451,8 @@ def parse_edge_list(text: str) -> Graph:
         return _read_lines(text)
     stop = _line_end(text, first.start())
     n, count = _header(text[first.start() : stop])
+    import numpy as np
+
     adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # bit v of row u at byte v // 8
     lines = 0
     while stop < len(text):
@@ -467,6 +475,8 @@ def _plain_edges(raw: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     A plain line is two tokens of at most 18 digits naming an edge of
     0..n-1 that is not a self-loop. Any other non-empty line gives None.
     """
+    import numpy as np
+
     codes = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
     if (codes == _OTHER).any():
         return None
@@ -493,6 +503,8 @@ def _plain_edges(raw: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _or_edges(adj: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     """OR both directions of every edge (u[i], v[i]) into `adj`."""
+    import numpy as np
+
     stride = adj.shape[1]
     cells = np.concatenate((u * stride + (v >> 3), v * stride + (u >> 3)))
     masks = np.left_shift(1, np.concatenate((v & 7, u & 7))).astype(np.uint8)

@@ -14,8 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import config
 from .errors import CapacityError, InputError
@@ -23,6 +22,10 @@ from .graphs import bits, mask_of
 from .pairs import BANDS, band, cutoffs, margin
 from .partitions import ErrorFunction
 from .stability import Relation
+
+# numpy is imported where a table is validated or gathered, as in `graphs`
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _close(rows: tuple[tuple[int, ...], ...], mask: int, gens: tuple[int, ...], x: int) -> int:
@@ -90,6 +93,8 @@ class FiniteGroup:
         if set(map(type, chain.from_iterable(table))) != {int}:
             raise InputError(malformed)
         rows = tuple(tuple(row) for row in table)
+        import numpy as np
+
         try:
             arr = self.cells = np.array(rows, dtype=np.intp)
         except OverflowError:  # a cell beyond the machine integers
@@ -376,6 +381,8 @@ def membership_relation(g: FiniteGroup, a_mask: int) -> Relation:
 def _gathered_relation(products: np.ndarray, a_mask: int) -> Relation:
     """Relation R(x, y) <=> products[x, y] in A: A's membership bits gathered
     through the n x n element array `products`, packed row by row."""
+    import numpy as np
+
     n = len(products)
     if a_mask & ~((1 << n) - 1):
         raise InputError("subset references elements out of range")

@@ -53,6 +53,20 @@ def cutoffs(size: int, eps: Fraction) -> tuple[int, int]:
     return -(-p * size // q), (q - p) * size // q
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Parse "p/q" or "p"; decimal notation is rejected to keep thresholds exact."""
+    text = text.strip()
+    if "." in text:
+        raise InputError(f"decimal thresholds are not accepted, write a fraction: {text!r}")
+    try:
+        if "/" in text:
+            num_s, den_s = text.split("/", 1)
+            return Fraction(int(num_s), int(den_s))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {text!r}") from exc
+
+
 BANDS = ("low", "high", "fail")
 
 

@@ -13,12 +13,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 
-import numpy as np
-
 from . import config
 from .errors import CapacityError, InputError, PreconditionError
 from .graphs import Graph, bits, mask_of, vertex_list
-from .pairs import BANDS, band, cutoffs, good_set_violation, is_good_set, margin
+from .pairs import (
+    BANDS,
+    band,
+    cutoffs,
+    good_set_violation,
+    is_good_set,
+    margin,
+    parse_fraction,
+)
 from .typeclasses import type_spectrum
 
 
@@ -110,20 +116,6 @@ class ErrorFunction:
         if name in ("const", "inverse", "inverse_square"):
             return ErrorFunction(name, parse_fraction(body))
         raise InputError(f"unknown error-function form {name!r}")
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" or "p"; decimal notation is rejected to keep thresholds exact."""
-    text = text.strip()
-    if "." in text:
-        raise InputError(f"decimal thresholds are not accepted, write a fraction: {text!r}")
-    try:
-        if "/" in text:
-            num_s, den_s = text.split("/", 1)
-            return Fraction(int(num_s), int(den_s))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +473,13 @@ def equipartition_refine(
 # Regularity verification
 
 
-_PAIR_KINDS = np.array(BANDS, dtype=object)
-
-
 def _pair_codes(g: Graph, parts: tuple[int, ...], sizes: list[int], gamma: Fraction):
     """Yield, part by part, the `pairs.band` codes (0 low, 1 high, 2 fail)
     of row i of the ordered pair matrix, as an int array over the parts."""
     if not parts:
         return
+    import numpy as np
+
     distinct, size_index = np.unique(sizes, return_inverse=True)
     xs = distinct.tolist()
     cuts = np.array([[cutoffs(x * y, gamma) for y in xs] for x in xs], dtype=np.int64)
@@ -545,11 +536,14 @@ def verify_regularity(
     exc_fraction = partition.exceptional_fraction()
     exceptional_ok = exc_fraction <= eps
 
+    import numpy as np
+
+    kinds = np.array(BANDS, dtype=object)
     matrix: list[tuple[str, ...]] = []
     diag_fail: list[int] = []
     off_fail: list[tuple[int, int]] = []
     for i, codes in enumerate(_pair_codes(g, partition.parts, sizes, gamma)):
-        matrix.append(tuple(_PAIR_KINDS[codes].tolist()))
+        matrix.append(tuple(kinds[codes].tolist()))
         for j in np.flatnonzero(codes == 2).tolist():
             if i == j:
                 diag_fail.append(i)

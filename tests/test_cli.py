@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import stablereg
 from stablereg import config
 from stablereg.cli import _emit, main
-from stablereg.graphs import parse_edge_list, parse_family
+from stablereg.graphs import parse_edge_list, parse_family, to_edge_list
 from stablereg.partitions import partition_from_json
 
 
@@ -451,3 +451,119 @@ def test_cli_import_loads_only_stdlib_numpy_and_the_package():
     ]
     assert foreign == []
     assert acceptance_loaded == "False"
+
+
+def test_group_stability_cap_zero_is_input_error(capsys):
+    group = ("group", "--cyclic", "6", "--set", "0,2,4", "--sigma", "1/4")
+    stability = ("stability", "--family", "half_graph(4)")
+    code, payload = run_json(capsys, *group, "--stability-cap", "0")
+    assert code == 2
+    assert payload == run_json(capsys, *stability, "--cap", "0")[1]
+    assert payload == {"error": {"kind": "input", "reason": "cap must be at least 1"}}
+    code, payload = run_json(capsys, *group, "--stability-cap", "1")
+    assert code == 0 and payload["translated_ladder_index"] == 1
+
+
+def _fresh_process_json(probe, *argv):
+    """The JSON that `python -c probe argv...` prints, run on this package."""
+    src = os.path.dirname(os.path.dirname(stablereg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+_MODULES_AFTER_MAIN = (
+    "import contextlib, io, json, sys\n"
+    "import stablereg, stablereg.cli\n"
+    "loaded = sorted(sys.modules)\n"
+    "if sys.argv[1:]:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert stablereg.cli.main(sys.argv[1:]) == 0\n"
+    "print(json.dumps([loaded, sorted(sys.modules)]))\n"
+)
+_FAMILY = ("--family", "half_graph(4)")
+_LAYERS = {"pairs", "partitions", "typeclasses", "stability", "groups"}
+
+
+def test_cli_import_loads_only_the_cli_and_errors():
+    loaded, _ = _fresh_process_json(_MODULES_AFTER_MAIN)
+    assert [m for m in loaded if m.startswith("stablereg")] == [
+        "stablereg",
+        "stablereg.cli",
+        "stablereg.errors",
+    ]
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, numpy_loaded, not_loaded",
+    [
+        (["gen", "half_graph(4)"], False, _LAYERS),
+        (["stability", *_FAMILY, "--cap", "6"], False, _LAYERS - {"stability"}),
+        (["define", *_FAMILY, "--k", "2", "--member", "0"], False, {"pairs", "partitions", "groups"}),
+        (["types", *_FAMILY], False, {"pairs", "partitions", "groups"}),
+        (
+            ["pairs", *_FAMILY, "--x", "0-3", "--y", "4-7", "--epsilon", "1/4", "--excellent"],
+            False,
+            _LAYERS - {"pairs"},
+        ),
+        (["group", "--cyclic", "6", "--set", "0,2,4", "--sigma", "1/4"], True, set()),
+        (["stability", "--input", "{path}"], True, _LAYERS - {"stability"}),
+    ],
+)
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, numpy_loaded, not_loaded):
+    path = tmp_path / "half_graph_4.txt"
+    path.write_text(to_edge_list(parse_family("half_graph(4)")), encoding="ascii")
+    _, loaded = _fresh_process_json(_MODULES_AFTER_MAIN, *(a.format(path=path) for a in argv))
+    assert ("numpy" in loaded) == numpy_loaded
+    assert sorted(f"stablereg.{m}" for m in not_loaded if f"stablereg.{m}" in loaded) == []
+
+
+_PACKAGE_PROBE = """
+import json, sys
+import stablereg
+
+out = {"graphs_after_bare_import": stablereg.graphs is sys.modules.get("stablereg.graphs")}
+out["dir_missing"] = sorted(set(stablereg.__all__) - set(dir(stablereg)))
+star = {}
+exec("from stablereg import *", star)
+out["star_missing"] = sorted(set(stablereg.__all__) - set(star))
+out["not_from_submodule"] = sorted(
+    name
+    for name in stablereg.__all__
+    if getattr(stablereg, name) is not getattr(sys.modules[getattr(stablereg, name).__module__], name)
+    or getattr(stablereg, name) is not star[name]
+)
+out["unknown_names"] = [
+    hasattr(stablereg, "no_such_name"),
+    hasattr(stablereg, "__main__"),
+    hasattr(stablereg.cli, "no_such_name"),
+    hasattr(stablereg.cli, "_no_such_name"),
+]
+out["cli_forwards"] = stablereg.cli.find_relation_ladder is stablereg.stability.find_relation_ladder
+out["parse_fraction"] = [
+    stablereg.parse_fraction is stablereg.pairs.parse_fraction,
+    stablereg.parse_fraction is stablereg.partitions.parse_fraction,
+]
+out["all"] = stablereg.__all__
+print(json.dumps(out))
+"""
+
+
+def test_lazy_package_names_resolve_to_their_submodules():
+    # a fresh process, so that no submodule is loaded before the lookups
+    # under test make it load
+    out = _fresh_process_json(_PACKAGE_PROBE)
+    assert out.pop("all") == sorted(stablereg.__all__) and len(stablereg.__all__) == 68
+    assert out == {
+        "graphs_after_bare_import": True,
+        "dir_missing": [],
+        "star_missing": [],
+        "not_from_submodule": [],
+        "unknown_names": [False, False, False, False],
+        "cli_forwards": True,
+        "parse_fraction": [True, True],
+    }
