@@ -6,7 +6,7 @@ Every subcommand prints a single JSON document on stdout and exits with
 child streams, so identical invocations produce identical bytes.
 
 Each subcommand imports the modules it runs when it runs, so a call loads
-only those; the package's public names resolve here too, as in the package.
+only those.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ EXIT_CAPACITY = 3
 
 
 def __getattr__(name: str) -> object:
-    """`stablereg.cli.X` is `stablereg.X` for each public name X."""
-    package = sys.modules[__package__]
-    if name in package.__all__:
-        return getattr(package, name)
+    """`stablereg.cli.find_relation_ladder`, which the CLI exposed when it
+    imported it at module level, still resolves, to the stability search."""
+    if name == "find_relation_ladder":
+        from .stability import find_relation_ladder
+
+        return find_relation_ladder
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -542,6 +542,7 @@ out["unknown_names"] = [
     hasattr(stablereg, "__main__"),
     hasattr(stablereg.cli, "no_such_name"),
     hasattr(stablereg.cli, "_no_such_name"),
+    hasattr(stablereg.cli, "parse_family"),
 ]
 out["cli_forwards"] = stablereg.cli.find_relation_ladder is stablereg.stability.find_relation_ladder
 out["parse_fraction"] = [
@@ -563,7 +564,7 @@ def test_lazy_package_names_resolve_to_their_submodules():
         "dir_missing": [],
         "star_missing": [],
         "not_from_submodule": [],
-        "unknown_names": [False, False, False, False],
+        "unknown_names": [False, False, False, False, False],
         "cli_forwards": True,
         "parse_fraction": [True, True],
     }
