@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
+from math import isqrt
 from random import Random
 
 from .graphs import (
@@ -19,6 +20,7 @@ from .graphs import (
     clique_union,
     complete_graph,
     empty_graph,
+    from_edges,
     half_graph,
     mask_of,
     matching_graph,
@@ -61,12 +63,7 @@ class CriterionResult:
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction:
-    num = int(f.numerator**0.5)
-    den = int(f.denominator**0.5)
-    while num * num < f.numerator:
-        num += 1
-    while den * den < f.denominator:
-        den += 1
+    num, den = isqrt(f.numerator), isqrt(f.denominator)
     if num * num != f.numerator or den * den != f.denominator:
         raise ValueError(f"{f} is not a perfect rational square")
     return Fraction(num, den)
@@ -76,27 +73,17 @@ def _all_graphs(n: int):
     """All labeled graphs on n vertices, by edge bitmap."""
     pairs = list(combinations(range(n), 2))
     for code in range(1 << len(pairs)):
-        rows = [0] * n
-        for idx, (u, v) in enumerate(pairs):
-            if (code >> idx) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        yield Graph(n, tuple(rows))
+        yield from_edges(n, compress(pairs, (code >> idx & 1 for idx in range(len(pairs)))))
 
 
 def _random_graph(rng: Random, n: int, p: float) -> Graph:
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    # one draw per pair u < v, in this order, so seeded corpora stay the same
+    return from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def _complement(g: Graph) -> Graph:
-    full = g.full_mask
-    return Graph(g.n, tuple((full & ~row) ^ (1 << v) for v, row in enumerate(g.adj)))
+    pairs = combinations(range(g.n), 2)
+    return from_edges(g.n, ((u, v) for u, v in pairs if not g.adj[u] >> v & 1))
 
 
 def _random_nonempty_subset(rng: Random, mask: int) -> int:
@@ -410,13 +397,8 @@ def _random_biprelation(rng: Random, nl: int, nr: int) -> list[int]:
 
 
 def _bipartite_graph(nl: int, nr: int, rows: list[int]) -> tuple[Graph, int, int]:
-    n = nl + nr
-    adj = [0] * n
-    for a in range(nl):
-        for b in bits(rows[a]):
-            adj[a] |= 1 << (nl + b)
-            adj[nl + b] |= 1 << a
-    return Graph(n, tuple(adj)), (1 << nl) - 1, ((1 << nr) - 1) << nl
+    edges = ((a, nl + b) for a in range(nl) for b in bits(rows[a]))
+    return from_edges(nl + nr, edges), (1 << nl) - 1, ((1 << nr) - 1) << nl
 
 
 def criterion_8(seed: int) -> CriterionResult:

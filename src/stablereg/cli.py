@@ -32,16 +32,6 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 
-def __getattr__(name: str) -> object:
-    """`stablereg.cli.find_relation_ladder`, which the CLI exposed when it
-    imported it at module level, still resolves, to the stability search."""
-    if name == "find_relation_ladder":
-        from .stability import find_relation_ladder
-
-        return find_relation_ladder
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 

@@ -6,40 +6,30 @@ import os
 
 from .errors import InputError
 
-# Largest n for which is_excellent may enumerate all 2^n - 1 candidate sets.
-EXCELLENT_EXHAUSTIVE_BOUND = 14
-# Largest n for which exact good-partition search may enumerate set partitions.
-EXACT_PARTITION_BOUND = 12
-# Largest group order accepted for subgroup enumeration.
-GROUP_ORDER_BOUND = 128
-# Most search-step calls (nodes) one ladder search may make.
-LADDER_NODE_BUDGET = 200_000
 # Largest vertex count of a graph built from a family or an edge list; the
 # packed adjacency of a graph at the bound takes n^2/8 = 50 MB. Fixed: no
 # environment variable overrides it.
 VERTEX_BOUND = 20_000
 
-_ENV_NAMES = {
-    "excellent": "STABLEREG_EXCELLENT_BOUND",
-    "partition": "STABLEREG_PARTITION_BOUND",
-    "group": "STABLEREG_GROUP_BOUND",
-    "ladder": "STABLEREG_LADDER_BUDGET",
-}
-
-_DEFAULTS = {
-    "excellent": EXCELLENT_EXHAUSTIVE_BOUND,
-    "partition": EXACT_PARTITION_BOUND,
-    "group": GROUP_ORDER_BOUND,
-    "ladder": LADDER_NODE_BUDGET,
+# kind -> (environment variable that overrides the bound, default bound)
+_BOUNDS = {
+    # Largest n for which is_excellent may enumerate all 2^n - 1 candidate sets.
+    "excellent": ("STABLEREG_EXCELLENT_BOUND", 14),
+    # Largest n for which exact good-partition search may enumerate set partitions.
+    "partition": ("STABLEREG_PARTITION_BOUND", 12),
+    # Largest group order accepted for subgroup enumeration.
+    "group": ("STABLEREG_GROUP_BOUND", 128),
+    # Most search-step calls (nodes) one ladder search may make.
+    "ladder": ("STABLEREG_LADDER_BUDGET", 200_000),
 }
 
 
 def capacity_bound(kind: str) -> int:
     """Configured bound for `kind` in {excellent, partition, group, ladder}."""
-    name = _ENV_NAMES[kind]
+    name, default = _BOUNDS[kind]
     env = os.environ.get(name)
     if env is None:
-        return _DEFAULTS[kind]
+        return default
     try:
         return int(env)
     except ValueError as exc:

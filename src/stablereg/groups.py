@@ -199,7 +199,6 @@ def group_to_json(g: FiniteGroup) -> dict:
 class Subgroup:
     elements: int
     index: int
-    normal: bool
 
     @property
     def order(self) -> int:
@@ -346,7 +345,7 @@ def normal_subgroups_up_to_index(g: FiniteGroup, max_index: int) -> list[Subgrou
             raise AssertionError("subgroup order must divide group order")
         index = g.order // order
         if index <= max_index:
-            out.append(Subgroup(mask, index, True))
+            out.append(Subgroup(mask, index))
     out.sort(key=lambda s: (s.index, s.elements))
     return out
 

@@ -376,7 +376,7 @@ def test_is_normal_matches_definition_on_small_groups():
 
 def _normal_subgroups_by_filter(g, max_index):
     out = [
-        Subgroup(mask, g.order // mask.bit_count(), True)
+        Subgroup(mask, g.order // mask.bit_count())
         for mask in all_subgroups(g)
         if g.order // mask.bit_count() <= max_index and is_normal(g, mask)
     ]
