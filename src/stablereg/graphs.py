@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,8 +20,9 @@ from . import config
 from .errors import CapacityError, InputError
 from .rng import derive_rng
 
-# numpy is imported inside the kernels that use it, so a process that only
-# builds family graphs or runs the pure-Python layers never loads it
+# numpy is imported inside the kernels that use it, so a process that builds
+# family graphs, small `Graph`s and `Relation`s or reads short edge lists,
+# and runs the pure-Python layers on them, never loads it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -44,6 +46,15 @@ def vertex_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
+# Matrices of at most this many cells (rows x width) are transposed in pure
+# Python, where square ones are faster than in the numpy kernel up to 32 x 32
+# (best of 5-7 runs, numpy loaded: 8 x 8 in 6.5 us against 12 us, 32 x 32 in
+# 35 us against 43 us). The two are level from 40 x 40 to 256 x 256
+# (64 x 64: 99 us in Python against 89 us). The kernel is ahead above that
+# and needs far less scratch, so both paths stay: at 900 x 900 it takes
+# 3.3 ms against 4.2 ms, at 3000 x 3000 38 ms and 2.9 MiB against 84 ms and
+# 17 MiB.
+_PURE_TRANSPOSE_CELLS = 1024
 # Rows per block; a multiple of 8, so blocks pack whole bytes. At n = 3000 a
 # block of 256 rows peaks at 2.6 MiB of scratch, one of 1024 at 7.3 MiB, in
 # the same time.
@@ -53,10 +64,29 @@ _TRANSPOSE_BLOCK = 256
 def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     """Columns of a bit matrix: bit a of column b is bit b of rows[a].
 
-    Every row must lie in 0 .. 2**width - 1. Rows are unpacked to one byte
-    per bit, transposed and packed again in blocks of 256 rows, so the
-    scratch space is O(256 * width) bytes besides the packed result.
+    Every row must lie in 0 .. 2**width - 1. Matrices of at most 1024 cells
+    take `_columns_by_text` and never load numpy; larger ones take
+    `_columns_by_blocks`, the numpy kernel.
     """
+    if len(rows) * width <= _PURE_TRANSPOSE_CELLS:
+        return _columns_by_text(rows, width)
+    return _columns_by_blocks(rows, width)
+
+
+def _columns_by_text(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Rows written as one binary string, last row first, so that every
+    width-th character from offset width - 1 - b is column b, read from its
+    highest bit down. The cost does not depend on how many bits are set."""
+    fmt = f"0{width}b"
+    text = "".join([format(row, fmt) for row in reversed(rows)])
+    top = width - 1
+    return tuple([int(text[top - b :: width] or "0", 2) for b in range(width)])
+
+
+def _columns_by_blocks(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Rows unpacked to one byte per bit, transposed and packed again in
+    blocks of 256 rows, so the scratch space is O(256 * width) bytes besides
+    the packed result."""
     import numpy as np
 
     nbytes = (width + 7) // 8
@@ -114,8 +144,9 @@ def twin_classes(adj: Sequence[int]) -> tuple[int, ...]:
 class Graph:
     """Undirected irreflexive graph; `adj[v]` is the neighborhood bitmask.
 
-    Symmetry is checked against the columns from `transpose`, the blocked
-    bit-matrix kernel (O(256 * n) bytes of scratch): the lowest bit of
+    Symmetry is checked against the columns from `transpose`, which stays
+    in pure Python up to 1024 cells (n <= 32) and runs the blocked numpy
+    kernel (O(256 * n) bytes of scratch) above: the lowest bit of
     `adj[v] & ~column[v]` over the lowest such v is the reported edge.
     """
 
@@ -223,6 +254,8 @@ def _built(n: int, rows: Iterable[int]) -> Graph:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    if n <= 0:
+        raise InputError("graph needs at least one vertex")
     _check_order(n)
     rows = [0] * n
     for u, v in edges:
@@ -232,8 +265,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InputError(f"edge {u} {v} out of range for n={n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    if n <= 0:
-        raise InputError("graph needs at least one vertex")
     return _built(n, rows)
 
 
@@ -410,6 +441,8 @@ def _int_token(token: str) -> int:
 # `int()` reads. It checks the header, then the edge count, then each edge in
 # order through `from_edges`, so the first failing check words the error.
 #
+# While numpy is not loaded, text of at most 64 KiB goes straight to the line
+# reader, so a fresh process reading a small file never loads numpy. Other
 # ASCII text takes a faster path first. Its header line, up to the first line
 # break after the first non-space character, goes through the same `_header`.
 # The body is cut into chunks of about 128 KiB, each just after a line break;
@@ -419,9 +452,21 @@ def _int_token(token: str) -> int:
 # in-range edge that is not a self-loop; `np.fromstring` reads such tokens as
 # `int()` does, within int64. Non-ASCII text, any other chunk and a wrong edge
 # count send the whole text to the line reader, which returns its graph or
-# its error. Edge lists as `to_edge_list` writes them never leave the kernel.
+# its error. Edge lists as `to_edge_list` writes them never leave the kernel
+# once it is taken.
 # Its scratch is O(chunk) arrays plus the n x ceil(n/8) packed adjacency.
 
+# Texts of at most this many characters go to the line reader while numpy is
+# not loaded. There the kernel's cost is numpy's import, about 60 ms, and the
+# line reader's is about 0.1 us a character against the kernel's 0.02 us
+# (55 KB: 5.7 ms against 1.1 ms, numpy loaded). In fresh processes, median of
+# 11 runs, `types --input` took 93-107 ms on the line reader against
+# 157-181 ms on the kernel for files of 45 B to 98 KB; when numpy is imported
+# after the parse anyway, the line reader cost 0-6 ms more up to 98 KB, 17 ms
+# at 209 KB and 36 ms at 376 KB. At 64 KiB that loss stays near 5 ms, a
+# tenth of the import the line reader saves when nothing else needs numpy.
+# Once numpy is loaded, every ASCII text tries the kernel first.
+_LINE_READER_CHARS = 1 << 16
 # Chunk size in characters. A chunk's arrays peak at about 13 bytes per
 # character: 128 KiB keeps them near 1.7 MiB and in cache, and 1 MiB
 # chunks run no faster.
@@ -446,7 +491,8 @@ _SPACED = bytes.maketrans(_SPACES.encode(), b" " * len(_SPACES))
 
 
 def parse_edge_list(text: str) -> Graph:
-    first = _NON_SPACE.search(text) if text.isascii() else None
+    short = len(text) <= _LINE_READER_CHARS and "numpy" not in sys.modules
+    first = _NON_SPACE.search(text) if text.isascii() and not short else None
     if first is None:
         return _read_lines(text)
     stop = _line_end(text, first.start())

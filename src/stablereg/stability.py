@@ -30,8 +30,10 @@ class Relation:
     """Finite relation R <= A x B; rows[a] is the bitmask of b with R(a, b).
 
     `cols[b]` is the bitmask of a with R(a, b), taken from
-    `graphs.transpose`, the blocked bit-matrix kernel whose scratch space is
-    O(256 * nw) bytes; `graph_relation` reuses a graph's rows instead.
+    `graphs.transpose`: pure Python up to 1024 cells, so a small relation
+    never loads numpy, and above that the blocked numpy kernel whose scratch
+    space is O(256 * nw) bytes. `graph_relation` reuses a graph's rows
+    instead.
     """
 
     __slots__ = ("nv", "nw", "rows", "cols", "_twins")

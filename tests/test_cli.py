@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablereg
-from stablereg import config
+from stablereg import config, graphs
 from stablereg.cli import _emit, main
 from stablereg.graphs import parse_edge_list, parse_family, to_edge_list
 from stablereg.partitions import partition_from_json
@@ -510,15 +510,54 @@ def test_cli_import_loads_only_the_cli_and_errors():
             _LAYERS - {"pairs"},
         ),
         (["group", "--cyclic", "6", "--set", "0,2,4", "--sigma", "1/4"], True, set()),
-        (["stability", "--input", "{path}"], True, _LAYERS - {"stability"}),
+        (["stability", "--input", "{big}"], True, _LAYERS - {"stability"}),
+        (["stability", "--input", "{path}"], False, _LAYERS - {"stability"}),
+        (["types", "--input", "{path}"], False, {"pairs", "partitions", "groups"}),
+        (["stability", "--input", "{mid}"], False, _LAYERS - {"stability"}),
     ],
 )
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, numpy_loaded, not_loaded):
     path = tmp_path / "half_graph_4.txt"
     path.write_text(to_edge_list(parse_family("half_graph(4)")), encoding="ascii")
-    _, loaded = _fresh_process_json(_MODULES_AFTER_MAIN, *(a.format(path=path) for a in argv))
+    big = tmp_path / "clique_union_130_130.txt"
+    big.write_text(to_edge_list(parse_family("clique_union(130,130)")), encoding="ascii")
+    assert big.stat().st_size > graphs._LINE_READER_CHARS
+    mid = tmp_path / "half_graph_20.txt"
+    mid.write_text(to_edge_list(parse_family("half_graph(20)")), encoding="ascii")
+    assert mid.stat().st_size >= 1024
+    argv = [a.format(path=path, big=big, mid=mid) for a in argv]
+    _, loaded = _fresh_process_json(_MODULES_AFTER_MAIN, *argv)
     assert ("numpy" in loaded) == numpy_loaded
     assert sorted(f"stablereg.{m}" for m in not_loaded if f"stablereg.{m}" in loaded) == []
+
+
+_SMALL_GRAPH_PROBE = """
+import json, sys
+from fractions import Fraction
+from stablereg import (
+    Graph, Relation, find_relation_ladder, homogeneity, is_almost_good, is_excellent,
+    is_good_pair, special_witness, threshold_sets,
+)
+
+rows = [0] * 8
+for u, v in [(0, 4), (0, 5), (1, 5), (2, 6), (3, 7), (4, 5), (6, 7), (1, 2)]:
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+g = Graph(8, tuple(rows))
+eps = Fraction(1, 4)
+for check in (homogeneity, special_witness, is_good_pair, is_almost_good):
+    check(g, 0b1111, 0b11110000, eps)
+threshold_sets(g, 0b1111, 0b11110000, eps, eps)
+is_excellent(g, 0b11, eps, eps)
+find_relation_ladder(Relation(3, 4, (0b0001, 0b0011, 0b0111)), 3)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_small_graphs_and_relations_load_no_numpy():
+    loaded = _fresh_process_json(_SMALL_GRAPH_PROBE)
+    assert "stablereg.pairs" in loaded and "stablereg.stability" in loaded
+    assert "numpy" not in loaded
 
 
 _PACKAGE_PROBE = """

@@ -1,6 +1,9 @@
+import math
 import random
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +225,26 @@ def test_transpose_matches_per_bit_loop():
     assert transpose([full] * 1030, 9) == ((1 << 1030) - 1,) * 9
 
 
+def test_transpose_paths_agree_across_the_cutoff(monkeypatch):
+    rng = random.Random(20261020)
+    cutoff = graphs_module._PURE_TRANSPOSE_CELLS
+    shapes = [(0, w) for w in (1, 7, 8, 33)]
+    for cells in (cutoff - 1, cutoff, cutoff + 1):
+        shapes += [(cells // w, w) for w in range(1, cells + 1) if cells % w == 0]
+    by_text, by_blocks = graphs_module._columns_by_text, graphs_module._columns_by_blocks
+    paths = []
+    for name, inner in (("text", by_text), ("blocks", by_blocks)):
+        spy = lambda rows, width, name=name, inner=inner: paths.append(name) or inner(rows, width)
+        monkeypatch.setattr(graphs_module, f"_columns_by_{name}", spy)
+    for nv, nw in shapes:
+        for rows in ([rng.getrandbits(nw) for _ in range(nv)], [(1 << nw) - 1] * nv):
+            expected = _transpose_by_bits(rows, nw)
+            assert by_text(rows, nw) == by_blocks(rows, nw) == expected, (nv, nw)
+            paths.clear()
+            assert transpose(rows, nw) == expected
+            assert paths == ["text" if nv * nw <= cutoff else "blocks"], (nv, nw)
+
+
 def _validation_error_by_loops(n, adj):
     """Graph's checks with symmetry tested edge by edge, as a reference."""
     full = (1 << n) - 1
@@ -262,12 +285,37 @@ def test_symmetry_check_matches_edge_loop():
     assert asymmetric > 1000
 
 
+def test_symmetry_check_matches_edge_loop_across_the_transpose_cutoff():
+    rng = random.Random(20261020)
+    cutoff_n = math.isqrt(graphs_module._PURE_TRANSPOSE_CELLS)
+    asymmetric = set()
+    for n in list(range(cutoff_n - 3, cutoff_n + 4)) + [40] * 4:
+        for _ in range(12):
+            rows = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < 0.4:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+            for _ in range(rng.randint(0, 3)):
+                rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+            expected = _validation_error_by_loops(n, rows)
+            assert _outcome(Graph, n, tuple(rows)) == (
+                Graph(n, tuple(rows)) if expected is None else f"InputError: {expected}"
+            ), (n, rows)
+            if expected is not None and expected.startswith("asymmetric"):
+                asymmetric.add(n)
+    assert min(asymmetric) <= cutoff_n < max(asymmetric)
+
+
 # ---------------------------------------------------------------------------
 # The line-by-line edge-list reader, kept as the reference for the chunked
 # kernel: same `Graph`, or the same `InputError` message, on every input.
 
 
 def reference_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    if n <= 0:
+        raise InputError("graph needs at least one vertex")
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -380,6 +428,43 @@ def test_parse_edge_list_matches_reference(text, chunk):
             assert transpose(got.adj, got.n) == got.adj
     finally:
         graphs_module._CHUNK = saved
+
+
+@settings(max_examples=600, deadline=None)
+@given(edge_texts(), st.sampled_from([1, 2, 3, 5, 8, graphs_module._CHUNK]))
+def test_parse_edge_list_matches_reference_with_every_text_offered_to_the_kernel(text, chunk):
+    saved = graphs_module._CHUNK, graphs_module._LINE_READER_CHARS
+    graphs_module._CHUNK, graphs_module._LINE_READER_CHARS = chunk, 0
+    try:
+        got = _outcome(parse_edge_list, text)
+        assert got == _outcome(reference_parse_edge_list, text)
+        if isinstance(got, Graph):  # built without the symmetry check
+            assert transpose(got.adj, got.n) == got.adj
+    finally:
+        graphs_module._CHUNK, graphs_module._LINE_READER_CHARS = saved
+
+
+def test_short_texts_skip_the_kernel_while_numpy_is_not_loaded(monkeypatch):
+    def refuse(raw, n):
+        raise AssertionError("the kernel was reached")
+
+    cutoff = graphs_module._LINE_READER_CHARS
+    g = half_graph(4)
+    text = to_edge_list(g)
+    short = text + "\n" * (cutoff - len(text))
+    assert len(short) == cutoff
+    monkeypatch.setattr(graphs_module, "sys", SimpleNamespace(modules={}))
+    monkeypatch.setattr(graphs_module, "_plain_edges", refuse)
+    assert parse_edge_list(text) == parse_edge_list(short) == g
+    with pytest.raises(InputError, match="self-loop 1 1 rejected"):
+        parse_edge_list(short.replace("0 4", "1 1"))
+    monkeypatch.undo()
+    calls = _line_reader_spy(monkeypatch)
+    monkeypatch.setattr(graphs_module, "sys", SimpleNamespace(modules={}))
+    assert parse_edge_list(short + "\n") == g  # the kernel imports numpy
+    monkeypatch.setattr(graphs_module, "sys", sys)
+    assert parse_edge_list(text) == g
+    assert calls == []
 
 
 def test_edge_list_reference_examples(monkeypatch):
@@ -516,6 +601,13 @@ def test_from_edges_matches_reference():
     for m in (1, 2, 5, 17):
         pairs = [(2 * i, 2 * i + 1) for i in range(m)]
         assert matching_graph(m) == reference_from_edges(2 * m, pairs)
+
+
+def test_from_edges_without_vertices_names_the_vertex_count():
+    for n in (0, -2):
+        for edges in ([], [(0, 1)], [(1, 1)], [(5, -3)]):
+            with pytest.raises(InputError, match="^graph needs at least one vertex$"):
+                from_edges(n, edges)
 
 
 def test_vertex_bound():
