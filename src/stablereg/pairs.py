@@ -2,12 +2,18 @@
 
 All predicates compare exact rationals with strict inequalities: a count
 sitting exactly on a threshold fails both the low and the high clause.
-Thresholds arrive as `Fraction`s; `cutoffs` turns one into a pair of integer
-bounds per set size, so the hot loops compare plain ints and never allocate
-rationals.
-Per call, the kernel walks a set with an inline lowest-bit loop over a local
-`adj`, checks thresholds by their numerator and ranges by `X >> n`, so a call
-on a tiny graph costs a few microseconds.
+Thresholds arrive as `Fraction`s. For eps = p/q and a set of size s, the
+integer bounds of `cutoffs` are -(-p*s // q) and (q - p)*s // q, so the hot
+loops compare plain ints and never allocate rationals.
+Per call, a predicate checks its inputs once. `_check_pair` checks both sides
+and every threshold, in the order its docstring gives, and returns each
+threshold's numerator and denominator, read once. Each bound is computed
+inline from them, and `_split`, the one lopsidedness loop, walks a set with
+a lowest-bit loop over a local `adj`. Homogeneity checks its threshold, lets
+`Graph.density_pair` check the sets and count, and compares that count with
+p and q directly. Good sets, also the candidates that excellence tries,
+share one scan of checked input. So a call on a tiny graph costs a
+microsecond or two.
 """
 
 from __future__ import annotations
@@ -72,10 +78,12 @@ BANDS = ("low", "high", "fail")
 
 def band(count, lo, hi):
     """Index into `BANDS` of a count against `cutoffs` bounds, low winning,
-    on ints and elementwise on numpy arrays. The goodness and excellence
-    scans keep `lo <= c <= hi` inline, as a call per row of V costs about two
-    thirds more, and `_split` keeps two flags: `lopsided` reports members in
-    both bands when eps > 1/2."""
+    on ints and elementwise on numpy arrays. The predicates in this module do
+    not call it: the goodness scan, which excellence shares, keeps
+    `lo <= c <= hi` inline, as a call per row of V costs about two thirds
+    more; `_kind` compares the count with eps's numerator and denominator;
+    `_split` keeps two flags, as `lopsided` reports members in both bands
+    when eps > 1/2."""
     return (count >= lo) * (2 - (count > hi))
 
 
@@ -89,15 +97,15 @@ def margin(counts, size: int, eps: Fraction) -> Fraction:
 
 def lopsided(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[int, int]:
     """(low, high): the members a of X with |E(a, Y)| < eps|Y|, and those
-    with |E(a, Y)| > (1 - eps)|Y|. Inputs are not validated."""
-    lo, hi = cutoffs(Y.bit_count(), eps)
-    return _split(g.adj, X, Y, lo, hi)
+    with |E(a, Y)| > (1 - eps)|Y|. Inputs are checked as by the predicates."""
+    p, q = _check_pair(g, X, Y, eps)
+    size = Y.bit_count()
+    return _split(g.adj, X, Y, -(-p * size // q), (q - p) * size // q)
 
 
 def _split(adj: tuple[int, ...], X: int, Y: int, lo: int, hi: int) -> tuple[int, int]:
-    """`lopsided` with its bounds `cutoffs(|Y|, eps)` already resolved; the
-    predicates call it directly, so each bound is resolved once per set size
-    and call."""
+    """`lopsided` on checked sets, with its bounds `cutoffs(|Y|, eps)`
+    already resolved: a count c is low when c < lo and high when c > hi."""
     low = high = 0
     while X:
         bit = X & -X
@@ -110,21 +118,28 @@ def _split(adj: tuple[int, ...], X: int, Y: int, lo: int, hi: int) -> tuple[int,
     return low, high
 
 
-def _check_eps(*thresholds: Fraction) -> None:
-    for t in thresholds:
-        if t.numerator <= 0:
-            raise InputError("threshold must be positive")
-
-
-def _check_pair(g: Graph, X: int, Y: int, *thresholds: Fraction) -> None:
-    """Both sides nonempty and within V, every threshold positive."""
+def _check_pair(g: Graph, X: int, Y: int, eps: Fraction, *more: Fraction) -> tuple[int, ...]:
+    """(p, q) of eps = p/q and then of each further threshold, once X and Y
+    are nonempty, every threshold is positive and X and Y lie within V,
+    checked in that order."""
     if X == 0:
         raise InputError("X must be nonempty")
     if Y == 0:
         raise InputError("Y must be nonempty")
-    _check_eps(*thresholds)
-    g._check_set(X)
-    g._check_set(Y)
+    p = eps.numerator
+    if p <= 0:
+        raise InputError("threshold must be positive")
+    ratios = p, eps.denominator
+    for t in more:
+        p = t.numerator
+        if p <= 0:
+            raise InputError("threshold must be positive")
+        ratios += p, t.denominator
+    # (X | Y) >> n is nonzero exactly when X or Y has a member outside V,
+    # negative sets included
+    if (X | Y) >> g.n:
+        raise InputError("vertex set references vertices out of range")
+    return ratios
 
 
 def is_good_set(g: Graph, X: int, eps: Fraction) -> bool:
@@ -133,19 +148,24 @@ def is_good_set(g: Graph, X: int, eps: Fraction) -> bool:
 
 
 def good_set_violation(g: Graph, X: int, eps: Fraction) -> int | None:
-    """First parameter b whose neighborhood in X lands in the middle band.
+    """First parameter b whose neighborhood in X lands in the middle band."""
+    p, q = _check_pair(g, X, X, eps)
+    return _violation(g.adj, X, p, q)
+
+
+def _violation(adj: tuple[int, ...], X: int, p: int, q: int) -> int | None:
+    """`good_set_violation` of a checked X at eps = p/q.
 
     A singleton X is good at every eps > 0 and is not scanned: a count of 0
     is below eps * 1 and a count of 1 is above (1 - eps) * 1. The scan stops
     at the first violation, which is why it does not build `lopsided` masks
     over all of V.
     """
-    _check_pair(g, X, X, eps)
     size = X.bit_count()
     if size == 1:
         return None
-    lo, hi = cutoffs(size, eps)
-    for b, row in enumerate(g.adj):
+    lo, hi = -(-p * size // q), (q - p) * size // q
+    for b, row in enumerate(adj):
         if lo <= (row & X).bit_count() <= hi:
             return b
     return None
@@ -156,19 +176,30 @@ def threshold_sets(
 ) -> tuple[int, int]:
     """(X0, Y1) with X0 = {a in X : |E(a,Y)| < delta|Y|} and
     Y1 = {b in Y : |E(X,b)| > (1-eps)|X|}."""
-    _check_pair(g, X, Y, delta, eps)
-    y_lo, y_hi = cutoffs(Y.bit_count(), delta)
-    x_lo, x_hi = cutoffs(X.bit_count(), eps)
-    return _split(g.adj, X, Y, y_lo, y_hi)[0], _split(g.adj, Y, X, x_lo, x_hi)[1]
+    dp, dq, p, q = _check_pair(g, X, Y, delta, eps)
+    sx, sy = X.bit_count(), Y.bit_count()
+    X0 = _split(g.adj, X, Y, -(-dp * sy // dq), (dq - dp) * sy // dq)[0]
+    Y1 = _split(g.adj, Y, X, -(-p * sx // q), (q - p) * sx // q)[1]
+    return X0, Y1
+
+
+_KINDS = ("homogeneous-low", "homogeneous-high", "not-homogeneous")
 
 
 def _kind(g: Graph, X: int, Y: int, eps: Fraction) -> tuple[str, int, int]:
-    """(kind, edge pair count, |X||Y|) of the pair at eps; low wins."""
-    _check_eps(eps)
+    """(kind, edge pair count, |X||Y|) of the pair at eps = p/q; low wins.
+
+    The threshold is checked before `density_pair` checks the sets. A count
+    c over d pairs is low when c*q < p*d and high when c*q > (q - p)*d, the
+    verdict of `band(c, *cutoffs(d, eps))`.
+    """
+    p = eps.numerator
+    if p <= 0:
+        raise InputError("threshold must be positive")
+    q = eps.denominator
     num, den = g.density_pair(X, Y)
-    lo, hi = cutoffs(den, eps)
-    kinds = ("homogeneous-low", "homogeneous-high", "not-homogeneous")
-    return kinds[band(num, lo, hi)], num, den
+    scaled = num * q
+    return _KINDS[0 if scaled < p * den else 1 if scaled > (q - p) * den else 2], num, den
 
 
 def homogeneity(g: Graph, X: int, Y: int, eps: Fraction) -> PairVerdict:
@@ -182,10 +213,10 @@ def is_homogeneous(g: Graph, X: int, Y: int, eps: Fraction) -> bool:
 
 def is_good_pair(g: Graph, X: int, Y: int, eps: Fraction) -> bool:
     """Both one-sided neighborhood fractions lopsided for every single vertex."""
-    _check_pair(g, X, Y, eps)
+    p, q = _check_pair(g, X, Y, eps)
     for A, B in ((X, Y), (Y, X)):
-        lo, hi = cutoffs(B.bit_count(), eps)
-        low, high = _split(g.adj, A, B, lo, hi)
+        size = B.bit_count()
+        low, high = _split(g.adj, A, B, -(-p * size // q), (q - p) * size // q)
         if low | high != A:
             return False
     return True
@@ -198,11 +229,11 @@ def special_witness(g: Graph, X: int, Y: int, eps: Fraction) -> SpecialWitness |
     maximal candidate sets witness if and only if any sets do. The low side
     is tried first.
     """
-    _check_pair(g, X, Y, eps)
-    x_lo, x_hi = cutoffs(X.bit_count(), eps)
-    y_lo, y_hi = cutoffs(Y.bit_count(), eps)
-    x_low, x_high = _split(g.adj, X, Y, y_lo, y_hi)
-    y_low, y_high = _split(g.adj, Y, X, x_lo, x_hi)
+    p, q = _check_pair(g, X, Y, eps)
+    sx, sy = X.bit_count(), Y.bit_count()
+    x_hi, y_hi = (q - p) * sx // q, (q - p) * sy // q
+    x_low, x_high = _split(g.adj, X, Y, -(-p * sy // q), y_hi)
+    y_low, y_high = _split(g.adj, Y, X, -(-p * sx // q), x_hi)
     for Xp, Yp, side in ((x_low, y_low, "low"), (x_high, y_high, "high")):
         if Xp.bit_count() > x_hi and Yp.bit_count() > y_hi:
             return SpecialWitness(Xp, Yp, side)
@@ -224,11 +255,11 @@ def is_almost_good(
     """
     if largeness is None:
         largeness = eps
-    _check_pair(g, X, Y, eps, largeness)
+    p, q, lp, lq = _check_pair(g, X, Y, eps, largeness)
     for A, B in ((X, Y), (Y, X)):
-        lo, hi = cutoffs(B.bit_count(), eps)
-        low, high = _split(g.adj, A, B, lo, hi)
-        if (low | high).bit_count() <= cutoffs(A.bit_count(), largeness)[1]:
+        size = B.bit_count()
+        low, high = _split(g.adj, A, B, -(-p * size // q), (q - p) * size // q)
+        if (low | high).bit_count() <= (lq - lp) * A.bit_count() // lq:
             return False
     return True
 
@@ -254,7 +285,7 @@ def excellence_report(
     which is only allowed up to the configured capacity bound; with a list,
     the verdict is relative to the candidates supplied.
     """
-    _check_pair(g, X, X, eps, delta)
+    p, q, dp, dq = _check_pair(g, X, X, eps, delta)
 
     if candidates is None:
         bound = config.capacity_bound("excellent")
@@ -268,16 +299,20 @@ def excellence_report(
         pool = candidates
         mode = "candidates"
 
-    if not is_good_set(g, X, eps):
+    adj, n = g.adj, g.n
+    if _violation(adj, X, p, q) is not None:
         return ExcellenceReport(False, mode, None)
-    lo, hi = cutoffs(X.bit_count(), eps)
+    size = X.bit_count()
+    lo, hi = -(-p * size // q), (q - p) * size // q
     for Y in pool:
         if Y == 0:
             raise InputError("candidate sets must be nonempty")
-        if not is_good_set(g, Y, delta):
+        if Y >> n:
+            raise InputError("vertex set references vertices out of range")
+        if _violation(adj, Y, dp, dq) is not None:
             continue
-        y_lo, y_hi = cutoffs(Y.bit_count(), delta)
-        if lo <= _split(g.adj, X, Y, y_lo, y_hi)[0].bit_count() <= hi:
+        s = Y.bit_count()
+        if lo <= _split(adj, X, Y, -(-dp * s // dq), (dq - dp) * s // dq)[0].bit_count() <= hi:
             return ExcellenceReport(False, mode, Y)
     return ExcellenceReport(True, mode, None)
 

@@ -21,6 +21,8 @@ from stablereg.graphs import (
 )
 from stablereg.pairs import (
     BANDS,
+    ExcellenceReport,
+    PairVerdict,
     band,
     cutoffs,
     excellence_report,
@@ -225,6 +227,11 @@ def test_pair_predicates_match_fraction_oracle(g, data):
     mid = [b for b in range(g.n) if b not in low | high]
     assert good_set_violation(g, X, eps) == (mid[0] if mid else None)
 
+    density = F(sum(_degree(g, a, Y) for a in vertex_list(X)), nx * ny)
+    low_or_high = "low" if density < eps else "high" if density > 1 - eps else None
+    kind = f"homogeneous-{low_or_high}" if low_or_high else "not-homogeneous"
+    assert homogeneity(g, X, Y, eps) == PairVerdict(kind, density, eps)
+
 
 # ---------------------------------------------------------------------------
 # homogeneity / speciality / pair goodness
@@ -376,6 +383,77 @@ def test_excellence_remark(delta):
                     assert is_excellent(g, X, target, delta), (g, X, eps, delta)
 
 
+def _fraction_good(g, A, t):
+    size = A.bit_count()
+    return all(
+        (row & A).bit_count() < t * size or (row & A).bit_count() > (1 - t) * size
+        for row in g.adj
+    )
+
+
+def _oracle_excellence(g, X, eps, tests):
+    """(value, counterexample) of X from the Fraction definitions. `tests`
+    lists, in ascending order, each delta-good Y with the vertices a that
+    have |E(a, Y)| < delta|Y|."""
+    if not _fraction_good(g, X, eps):
+        return False, None
+    size = X.bit_count()
+    for Y, low in tests:
+        if eps * size <= (X & low).bit_count() <= (1 - eps) * size:
+            return False, Y
+    return True, None
+
+
+EXCELLENCE_GRID = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]
+
+
+def _check_excellence_report(g):
+    """Compare every excellence report on g over EXCELLENCE_GRID with the
+    oracle; return how many counterexamples the oracle found."""
+    n, found = g.n, 0
+    sets = range(1, 1 << n)
+    for delta in EXCELLENCE_GRID:
+        tests = [
+            (Y, mask_of(a for a in range(n) if (g.adj[a] & Y).bit_count() < delta * Y.bit_count()))
+            for Y in sets
+            if _fraction_good(g, Y, delta)
+        ]
+        for X in sets:
+            for eps in EXCELLENCE_GRID:
+                value, counterexample = _oracle_excellence(g, X, eps, tests)
+                found += counterexample is not None
+                rep = excellence_report(g, X, eps, delta)
+                assert (rep.value, rep.mode, rep.counterexample) == (
+                    value,
+                    "exhaustive",
+                    counterexample,
+                ), (g, X, eps, delta)
+                listed = excellence_report(g, X, eps, delta, list(sets))
+                assert listed == ExcellenceReport(value, "candidates", counterexample)
+                if not (value or counterexample):
+                    # candidates are read only once X is found good
+                    for bad in ([0], [1 << n], [-1]):
+                        assert excellence_report(g, X, eps, delta, bad) == listed
+                    continue
+                with pytest.raises(InputError, match="candidate sets must be nonempty"):
+                    excellence_report(g, X, eps, delta, [0])
+                for bad in (1 << n, -1):
+                    with pytest.raises(InputError, match="vertex set references vertices out of range"):
+                        excellence_report(g, X, eps, delta, [bad])
+    return found
+
+
+def test_excellence_report_matches_fraction_oracle():
+    found = sum(_check_excellence_report(g) for n in range(1, 5) for g in all_graphs(n))
+    # graphs on at most 4 vertices give 4 counterexamples in all, so a seeded
+    # sample on 6 vertices adds more
+    rng = random.Random(20261020)
+    for _ in range(12):
+        edges = [(u, v) for u, v in combinations(range(6), 2) if rng.random() < 0.5]
+        found += _check_excellence_report(from_edges(6, edges))
+    assert found >= 20
+
+
 # ---------------------------------------------------------------------------
 # the per-call kernel against the bits() loops it replaced
 
@@ -438,6 +516,7 @@ def _pair_calls(g, X, Y, eps):
         lambda: is_good_pair(g, X, Y, eps),
         lambda: is_almost_good(g, X, Y, eps),
         lambda: threshold_sets(g, X, Y, eps, eps),
+        lambda: lopsided(g, X, Y, eps),
         lambda: g.density_pair(X, Y),
     ]
 
@@ -481,3 +560,63 @@ def test_float_thresholds_are_not_accepted():
     for call in _pair_calls(g, X, Y, 0.25)[:-1]:
         with pytest.raises(AttributeError):
             call()
+
+
+EMPTY_X = "X must be nonempty"
+EMPTY_Y = "Y must be nonempty"
+EMPTY_SIDE = "density is undefined for an empty side"
+NONPOSITIVE = "threshold must be positive"
+OUT_OF_RANGE = "vertex set references vertices out of range"
+
+# Two faults at once on empty_graph(3): (X, Y, eps) and the message for each
+# group of entry points in turn. Pair entries check X nonempty, Y nonempty,
+# every threshold positive, then X and Y in range. Homogeneity checks eps,
+# then `density_pair` checks both ranges before emptiness. One-set entries
+# read X and eps, and excellence gets Y as its one candidate.
+PRECEDENCE = {
+    "empty X, eps 0": (0, 1, F(0), (EMPTY_X, NONPOSITIVE, EMPTY_SIDE, EMPTY_X)),
+    "eps 0, X out of range": (8, 1, F(0), (NONPOSITIVE, NONPOSITIVE, OUT_OF_RANGE, NONPOSITIVE)),
+    "eps 0, Y out of range": (1, -1, F(0), (NONPOSITIVE, NONPOSITIVE, OUT_OF_RANGE, NONPOSITIVE)),
+    "empty Y, X out of range": (8, 0, F(1, 4), (EMPTY_Y, OUT_OF_RANGE, OUT_OF_RANGE, OUT_OF_RANGE)),
+    "empty X alone": (0, 1, F(1, 4), (EMPTY_X, EMPTY_SIDE, EMPTY_SIDE, EMPTY_X)),
+}
+
+
+@pytest.mark.parametrize("fault", list(PRECEDENCE))
+def test_combined_faults_raise_the_first_failing_check(fault):
+    X, Y, eps, (pair, homog, density, one_set) = PRECEDENCE[fault]
+    g = empty_graph(3)
+    ok = F(1, 4)
+    groups = [
+        (
+            pair,
+            [
+                lambda: special_witness(g, X, Y, eps),
+                lambda: is_special(g, X, Y, eps),
+                lambda: is_good_pair(g, X, Y, eps),
+                lambda: is_almost_good(g, X, Y, eps),
+                lambda: is_almost_good(g, X, Y, ok, largeness=eps),
+                lambda: threshold_sets(g, X, Y, eps, eps),
+                lambda: threshold_sets(g, X, Y, eps, ok),
+                lambda: threshold_sets(g, X, Y, ok, eps),
+                lambda: lopsided(g, X, Y, eps),
+            ],
+        ),
+        (homog, [lambda: homogeneity(g, X, Y, eps), lambda: is_homogeneous(g, X, Y, eps)]),
+        (density, [lambda: g.density_pair(X, Y)]),
+        (
+            one_set,
+            [
+                lambda: is_good_set(g, X, eps),
+                lambda: good_set_violation(g, X, eps),
+                lambda: excellence_report(g, X, eps, ok),
+                lambda: excellence_report(g, X, eps, ok, [Y]),
+                lambda: excellence_report(g, X, ok, eps, [Y]),
+            ],
+        ),
+    ]
+    for message, calls in groups:
+        for i, call in enumerate(calls):
+            with pytest.raises(InputError) as info:
+                call()
+            assert str(info.value) == message, (fault, message, i)
