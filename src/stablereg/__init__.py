@@ -31,8 +31,8 @@ _SOURCES = {
             " type_mass_partition verify_regularity"
         ),
         "stability": (
-            "Ladder Relation find_ladder find_relation_ladder graph_relation is_k_stable"
-            " ladder_exists_naive ladder_exists_scan ladder_index relation_ladder_index"
+            "Ladder Relation find_relation_ladder graph_relation ladder_exists_scan ladder_index"
+            " relation_ladder_index"
         ),
         "typeclasses": (
             "DefinabilityDefect DefinabilityWitnesses HarringtonResult TypeClass TypeSpectrum"

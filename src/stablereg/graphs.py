@@ -174,11 +174,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self.adj[u] >> v) & 1)
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
@@ -190,26 +185,10 @@ class Graph:
                 out.append((u, u + 1 + d))
         return out
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} out of range 0..{self.n - 1}")
-
     def _check_set(self, X: int) -> None:
         # X >> n is nonzero exactly when X & ~full_mask is, negative X included
         if X >> self.n:
             raise InputError("vertex set references vertices out of range")
-
-    def neighborhood(self, X: int, b: int) -> int:
-        """Members of X adjacent to b."""
-        self._check_vertex(b)
-        self._check_set(X)
-        return X & self.adj[b]
-
-    def co_neighborhood(self, X: int, b: int) -> int:
-        """Members of X not adjacent to b (b itself included when in X)."""
-        self._check_vertex(b)
-        self._check_set(X)
-        return X & ~self.adj[b]
 
     def density(self, X: int, Y: int) -> Fraction:
         """Fraction of ordered pairs in X x Y that are edges; X, Y may overlap."""
@@ -218,8 +197,9 @@ class Graph:
 
     def density_pair(self, X: int, Y: int) -> tuple[int, int]:
         """(edge pair count, |X||Y|) without reducing; cheaper than Fraction."""
-        self._check_set(X)
-        self._check_set(Y)
+        # the range check of `_check_set` on both sides at once
+        if (X | Y) >> self.n:
+            raise InputError("vertex set references vertices out of range")
         if X == 0 or Y == 0:
             raise InputError("density is undefined for an empty side")
         adj = self.adj

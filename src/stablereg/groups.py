@@ -14,7 +14,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from . import config
 from .errors import CapacityError, InputError
@@ -24,8 +23,6 @@ from .partitions import ErrorFunction
 from .stability import Relation
 
 # numpy is imported where a table is validated or gathered, as in `graphs`
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _close(rows: tuple[tuple[int, ...], ...], mask: int, gens: tuple[int, ...], x: int) -> int:
@@ -261,26 +258,15 @@ def _subgroup_walk(g: FiniteGroup, joins) -> list[int]:
     return sorted(found)
 
 
-def is_normal(g: FiniteGroup, h_mask: int) -> bool:
-    """sHs^-1 within H for each generator s of G; exact, since conjugation
-    by a product of generators is a composite of those conjugations."""
-    elems = list(bits(h_mask))
-    for s in g.generators:
-        row, si = g.table[s], g.inv(s)
-        for h in elems:
-            if not (h_mask >> g.table[row[h]][si]) & 1:
-                return False
-    return True
-
-
 def _normal_closures(g: FiniteGroup) -> list[tuple[int, ...]]:
     """NC(x), the subgroup generated by the conjugacy class of x, for each
     element x, as its ascending members.
 
-    The class of x is x's orbit under conjugation by the generators, exact
-    as in is_normal, and NC(x) its closure from the identity. It is computed
-    once per class: a class of x^j with gcd(j, ord x) = 1 shares NC(x),
-    since x^j generates <x>.
+    The class of x is x's orbit under conjugation by the generators. That is
+    exact, since conjugation by a product of generators is a composite of
+    those conjugations. NC(x) is the orbit's closure from the identity. It
+    is computed once per class: a class of x^j with gcd(j, ord x) = 1 shares
+    NC(x), since x^j generates <x>.
     """
     n, rows = g.order, g.table
     closures: list[tuple[int, ...]] = [()] * n
@@ -368,28 +354,18 @@ def left_cosets(g: FiniteGroup, h_mask: int) -> list[int]:
 
 
 def translate_relation(g: FiniteGroup, a_mask: int) -> Relation:
-    """Two-sided relation R(x, y) <=> x*y in A, for ladder analysis."""
-    return _gathered_relation(g.cells, a_mask)
-
-
-def membership_relation(g: FiniteGroup, a_mask: int) -> Relation:
-    """Two-sided relation R(x, y) <=> x in yA, i.e. inv(y)*x in A."""
-    return _gathered_relation(g.cells[list(g.inverses)].T, a_mask)
-
-
-def _gathered_relation(products: np.ndarray, a_mask: int) -> Relation:
-    """Relation R(x, y) <=> products[x, y] in A: A's membership bits gathered
-    through the n x n element array `products`, packed row by row."""
+    """Two-sided relation R(x, y) <=> x*y in A, for ladder analysis: A's
+    membership bits gathered through the Cayley table, packed row by row."""
     import numpy as np
 
-    n = len(products)
+    n = g.order
     if a_mask & ~((1 << n) - 1):
         raise InputError("subset references elements out of range")
     nbytes = (n + 7) // 8
     member = np.unpackbits(
         np.frombuffer(a_mask.to_bytes(nbytes, "little"), np.uint8), count=n, bitorder="little"
     )
-    raw = np.packbits(member[products], axis=1, bitorder="little").tobytes()
+    raw = np.packbits(member[g.cells], axis=1, bitorder="little").tobytes()
     rows = tuple(int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, n * nbytes, nbytes))
     return Relation(n, n, rows)
 

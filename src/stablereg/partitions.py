@@ -620,6 +620,9 @@ def regularity_pipeline(g: Graph, eps: Fraction, sigma: ErrorFunction) -> Pipeli
         tuple(parts),
         {**base.params, "m": len(parts), "goodness_gate": "split-repaired"},
     )
-    refined = equipartition_refine(g, repaired, eps, sigma, check=True)
+    # no precondition re-scan: the gate's last round found every part
+    # tau(m)-good under the same running-minimum sigma, and
+    # type_mass_partition(g, eps/2) keeps the exceptional mass under eps/2
+    refined = equipartition_refine(g, repaired, eps, sigma, check=False)
     report = verify_regularity(g, refined, eps, sigma)
     return PipelineResult(base, repaired, raw_ok, tuple(split_log), refined, report)

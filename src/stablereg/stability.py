@@ -8,9 +8,9 @@ k-stable when it contains no ladder of length k.
 
 Two deciders are kept deliberately separate:
 
-* `find_ladder` / `find_relation_ladder`: depth-first search interleaving
-  v_t, w_t picks with candidate bitmask filtering; returns the first witness
-  in the (v_1, w_1, v_2, w_2, ...) ascending-vertex order.
+* `find_relation_ladder`: depth-first search interleaving v_t, w_t picks
+  with candidate bitmask filtering; returns the first witness in the
+  (v_1, w_1, v_2, w_2, ...) ascending-vertex order.
 * `ladder_exists_scan`: exhaustive scan over v-tuples only, with the w-side
   decided by closed-form mask intersections (the w_j choices are mutually
   independent once the v's are fixed). Used as the independent oracle.
@@ -19,7 +19,6 @@ Two deciders are kept deliberately separate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import config
 from .errors import CapacityError, InputError
@@ -259,21 +258,6 @@ def ladder_exists_scan(rel: Relation, k: int) -> bool:
     return rec(0, [full_w] * k)
 
 
-def ladder_exists_naive(rel: Relation, k: int, distinct: bool = False) -> bool:
-    """Literal enumeration of all (v-tuple, w-tuple) pairs; tiny inputs only."""
-    for vs in product(range(rel.nv), repeat=k):
-        for ws in product(range(rel.nw), repeat=k):
-            if distinct and len(set(vs) | set(ws)) != 2 * k:
-                continue
-            if all(
-                bool((rel.rows[v] >> w) & 1) == (i <= j)
-                for i, v in enumerate(vs)
-                for j, w in enumerate(ws)
-            ):
-                return True
-    return False
-
-
 def relation_ladder_index(rel: Relation, cap: int, distinct: bool = False) -> int:
     """Largest k <= cap admitting a ladder (0 if none).
 
@@ -296,13 +280,6 @@ def _index_and_ladder(rel: Relation, cap: int, distinct: bool) -> tuple[int, Lad
     return index, ladder
 
 
-def find_ladder(g: Graph, k: int, distinct: bool = False) -> Ladder | None:
-    return find_relation_ladder(graph_relation(g), k, distinct=distinct)
-
-
 def ladder_index(g: Graph, cap: int, distinct: bool = False) -> int:
     return relation_ladder_index(graph_relation(g), cap, distinct=distinct)
 
-
-def is_k_stable(g: Graph, k: int) -> bool:
-    return find_ladder(g, k) is None

@@ -28,7 +28,6 @@ from stablereg.graphs import (
     perturb,
     to_edge_list,
     transpose,
-    vertex_list,
 )
 
 
@@ -59,7 +58,7 @@ def test_half_graph_rule():
     g = half_graph(4)
     for i in range(1, 5):
         for j in range(1, 5):
-            assert g.has_edge(i - 1, 4 + j - 1) == (i <= j)
+            assert ((g.adj[i - 1] >> (4 + j - 1)) & 1) == (i <= j)
 
 
 def test_nonpositive_sizes_rejected():
@@ -79,32 +78,6 @@ def test_graph_validation():
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(InputError):
         Graph(2, (0b100, 0b000))  # out of range
-
-
-def test_neighborhood_examples():
-    g = empty_graph(5)
-    assert g.neighborhood(g.full_mask, 0) == 0
-    k4 = complete_graph(4)
-    assert vertex_list(k4.neighborhood(k4.full_mask, 2)) == [0, 1, 3]
-    hg3 = half_graph(3)
-    a_side = mask_of(range(3))
-    assert vertex_list(hg3.neighborhood(a_side, 4)) == [0, 1]  # b_2 sees a_1, a_2
-
-
-def test_neighborhood_out_of_range():
-    g = empty_graph(3)
-    with pytest.raises(InputError):
-        g.neighborhood(g.full_mask, 3)
-    with pytest.raises(InputError):
-        g.neighborhood(0b11111, 0)
-
-
-@given(graphs(), st.integers(min_value=0, max_value=6))
-def test_neighborhood_complement_partition(g, b):
-    b %= g.n
-    X = g.full_mask
-    assert g.neighborhood(X, b) | g.co_neighborhood(X, b) == X
-    assert g.neighborhood(X, b) & g.co_neighborhood(X, b) == 0
 
 
 def test_density_examples():
@@ -136,7 +109,7 @@ def test_half_graph_contains_its_ladder():
     g = half_graph(5)
     for i in range(1, 6):
         for j in range(1, 6):
-            assert g.has_edge(i - 1, 5 + j - 1) == (i <= j)
+            assert ((g.adj[i - 1] >> (5 + j - 1)) & 1) == (i <= j)
 
 
 def test_perturb_flip_count_and_determinism():
@@ -638,8 +611,6 @@ def test_set_range_check_matches_full_mask_rule():
         masks += [rng.randrange(-(1 << (n + 3)), 1 << (n + 3)) for _ in range(200)]
         for X in masks:
             calls = (
-                lambda: g.neighborhood(X, 0),
-                lambda: g.co_neighborhood(X, 0),
                 lambda: g.induced(X),
                 lambda: g.density_pair(X, 1),
                 lambda: g.density_pair(1, X),

@@ -566,6 +566,9 @@ def test_pipeline_raw_ok_matches_refine_precondition():
         result = regularity_pipeline(g, eps, sigma)
         expected, _ = check_refine_precondition(g, result.base, eps, sigma)
         assert result.raw_precondition_ok == expected, (g.adj, eps, sigma.describe())
+        # the pipeline refines without re-checking what its gate certified
+        assert check_refine_precondition(g, result.repaired_base, eps, sigma) == (True, None)
+        assert result.refined == equipartition_refine(g, result.repaired_base, eps, sigma)
         outcomes.add(expected)
     assert outcomes == {True, False}
 

@@ -24,15 +24,13 @@ from stablereg.graphs import (
 from stablereg.stability import (
     Ladder,
     Relation,
-    find_ladder,
     find_relation_ladder,
     graph_relation,
-    is_k_stable,
-    ladder_exists_naive,
     ladder_exists_scan,
     ladder_index,
     relation_ladder_index,
 )
+from tests.oracles import ladder_exists_naive
 from tests.test_graphs import graphs
 
 
@@ -48,15 +46,13 @@ def all_graphs(n):
 
 
 def test_empty_has_no_ladder():
-    assert find_ladder(empty_graph(5), 1) is None
+    assert find_relation_ladder(graph_relation(empty_graph(5)), 1) is None
     assert ladder_index(empty_graph(5), 5) == 0
-    assert is_k_stable(empty_graph(5), 1)
 
 
 def test_half_graph_defining_ladder():
-    lad = find_ladder(half_graph(4), 4)
+    lad = find_relation_ladder(graph_relation(half_graph(4)), 4)
     assert lad == Ladder((0, 1, 2, 3), (4, 5, 6, 7))
-    assert not is_k_stable(half_graph(4), 4)
 
 
 def test_half_graph_index_is_exactly_its_order():
@@ -71,19 +67,18 @@ def test_matching_index():
 
 def test_complete_graph_repeating_witnesses():
     # K_5: a length-2 ladder exists only because slots may repeat across lists
-    lad = find_ladder(complete_graph(5), 2)
+    lad = find_relation_ladder(graph_relation(complete_graph(5)), 2)
     assert lad is not None and lad.holds_in(graph_relation(complete_graph(5)))
     assert set(lad.vs) & set(lad.ws)
-    assert find_ladder(complete_graph(5), 3) is None
-    assert is_k_stable(complete_graph(5), 3)
+    assert find_relation_ladder(graph_relation(complete_graph(5)), 3) is None
     assert ladder_index(complete_graph(5), 5) == 2
 
 
 def test_distinct_witness_variant():
     # with pairwise-distinct slots the complete graph loses its 2-ladder
-    assert find_ladder(complete_graph(5), 2, distinct=True) is None
+    assert find_relation_ladder(graph_relation(complete_graph(5)), 2, distinct=True) is None
     assert ladder_index(complete_graph(5), 5, distinct=True) == 1
-    lad = find_ladder(half_graph(3), 3, distinct=True)
+    lad = find_relation_ladder(graph_relation(half_graph(3)), 3, distinct=True)
     assert lad is not None
     assert len(set(lad.vs) | set(lad.ws)) == 6
 
@@ -95,7 +90,7 @@ def test_clique_union_index():
 
 def test_bad_inputs():
     with pytest.raises(InputError):
-        find_ladder(empty_graph(3), 0)
+        find_relation_ladder(graph_relation(empty_graph(3)), 0)
     with pytest.raises(InputError):
         ladder_index(empty_graph(3), 0)
 
@@ -128,7 +123,7 @@ def test_oracle_equivalence_random(g, k):
 def test_ladder_length_cannot_exceed_vertex_count():
     # slots within one tuple are forced distinct, so k > n is impossible
     for g in (complete_graph(4), half_graph(2), matching_graph(2)):
-        assert find_ladder(g, g.n + 1) is None
+        assert find_relation_ladder(graph_relation(g), g.n + 1) is None
 
 
 @given(graphs(max_n=6))
@@ -145,7 +140,7 @@ def test_distinct_matches_naive(g):
 def test_stability_monotone(g):
     idx = ladder_index(g, g.n)
     for k in range(1, g.n + 1):
-        assert is_k_stable(g, k) == (k > idx)
+        assert (find_relation_ladder(graph_relation(g), k) is None) == (k > idx)
 
 
 @given(graphs(max_n=7), st.integers(min_value=0))
@@ -241,7 +236,7 @@ def test_ladder_search_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert find_ladder(g, 5) is None
+        assert find_relation_ladder(graph_relation(g), 5) is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -337,6 +332,6 @@ def test_twin_prune_keeps_a_refutation_under_budget(monkeypatch):
 
 def test_ladder_budget_of_one_node(monkeypatch):
     monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "1")
-    assert find_ladder(half_graph(3), 1) == Ladder((0,), (3,))
+    assert find_relation_ladder(graph_relation(half_graph(3)), 1) == Ladder((0,), (3,))
     with pytest.raises(CapacityError, match="length 2 spent 2 nodes; the node budget is 1 "):
-        find_ladder(half_graph(3), 2)
+        find_relation_ladder(graph_relation(half_graph(3)), 2)
