@@ -279,11 +279,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
-    from .groups import cyclic_group, dihedral_group, group_from_json
+    from .groups import _check_order_bound, cyclic_group, dihedral_group, group_from_json
 
+    # an order past the bound is refused before its order x order table is built
     if args.cyclic is not None:
+        _check_order_bound(args.cyclic)
         return cyclic_group(args.cyclic)
     if args.dihedral is not None:
+        _check_order_bound(2 * args.dihedral)
         return dihedral_group(args.dihedral)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:

@@ -220,6 +220,12 @@ def all_subgroups(g: FiniteGroup) -> list[int]:
     return _subgroup_walk(g, closure_joins)
 
 
+def _check_order_bound(order: int) -> None:
+    bound = config.capacity_bound("group")
+    if order > bound:
+        raise CapacityError(f"subgroup enumeration bound is order <= {bound}")
+
+
 def _subgroup_walk(g: FiniteGroup, joins) -> list[int]:
     """The sorted masks reached from the trivial subgroup by the joins of
     each subgroup H found.
@@ -229,9 +235,7 @@ def _subgroup_walk(g: FiniteGroup, joins) -> list[int]:
     of every element (0 on H); it yields (join of H with x, data of the
     join) for each x. A subgroup keeps the data it was first found with.
     """
-    bound = config.capacity_bound("group")
-    if g.order > bound:
-        raise CapacityError(f"subgroup enumeration bound is order <= {bound}")
+    _check_order_bound(g.order)
     trivial = 1 << g.identity
     found = {trivial: ()}
     frontier = [trivial]

@@ -33,9 +33,13 @@ class Relation:
     never loads numpy, and above that the blocked numpy kernel whose scratch
     space is O(256 * nw) bytes. `graph_relation` reuses a graph's rows
     instead.
+
+    `twins[x]` masks the elements the ladder search drops with x: here one
+    singleton per element of the larger side, so dropping a class drops
+    nothing more; the graph's twin classes in `graph_relation`.
     """
 
-    __slots__ = ("nv", "nw", "rows", "cols", "_twins")
+    __slots__ = ("nv", "nw", "rows", "cols", "twins")
 
     def __init__(self, nv: int, nw: int, rows: tuple[int, ...]):
         if nv <= 0 or nw <= 0:
@@ -50,33 +54,20 @@ class Relation:
         self.nw = nw
         self.rows = tuple(rows)
         self.cols = transpose(self.rows, nw)
-        self._twins = None
-
-    def twins(self) -> tuple[int, ...]:
-        """Per-element masks the ladder search drops together, computed once.
-
-        For a graph relation, whose rows are its columns, these are the twin
-        classes of `graphs.twin_classes`. Any other relation gets one
-        singleton per element, so dropping a class drops nothing more.
-        """
-        if self._twins is None:
-            if self.rows is self.cols:
-                self._twins = twin_classes(self.rows)
-            else:
-                self._twins = tuple(1 << a for a in range(max(self.nv, self.nw)))
-        return self._twins
+        self.twins = tuple(1 << a for a in range(max(nv, nw)))
 
 
 def graph_relation(g: Graph) -> Relation:
     """The adjacency relation of g, whose columns are its rows.
 
     A `Graph` is validated symmetric, so its rows need neither the row check
-    nor the transpose of `Relation.__init__`.
+    nor the transpose of `Relation.__init__`. Its `twins` are the twin
+    classes of `graphs.twin_classes`.
     """
     rel = object.__new__(Relation)
     rel.nv = rel.nw = g.n
     rel.rows = rel.cols = g.adj
-    rel._twins = None
+    rel.twins = twin_classes(g.adj)
     return rel
 
 
@@ -136,11 +127,9 @@ def find_relation_ladder(rel: Relation, k: int, distinct: bool = False) -> Ladde
     * With `distinct=True`, used (with v_{d+1}) holds neither x nor x', as
       both are in the pool.
 
-    So x''s subtree is the image of x's and is dead too. Other relations
-    search exactly as without this rule. The classes are built once per
-    relation (`Relation.twins`), when a recursive call first fails, so a
-    search that never backs out of a call, such as an index scan on a
-    large graph that finds each ladder at once, does not build them.
+    So x''s subtree is the image of x's and is dead too. The classes are
+    `rel.twins`, built with the relation; any other relation has singleton
+    classes and searches exactly as without this rule.
 
     The memo, the counts and the twin rule skip only dead subtrees, so the
     DFS order and the first witness are those of the plain search.
@@ -163,12 +152,12 @@ class _LadderSearch:
     than a self-referencing closure, so the memo of refuted states is freed
     by reference counting when the call returns."""
 
-    __slots__ = ("rel", "rows", "cols", "k", "distinct", "budget", "nodes", "vs", "ws", "dead")
+    __slots__ = ("rows", "cols", "twins", "k", "distinct", "budget", "nodes", "vs", "ws", "dead")
 
     def __init__(self, rel: Relation, k: int, distinct: bool, budget: int):
-        self.rel = rel
         self.rows = rel.rows
         self.cols = rel.cols
+        self.twins = rel.twins
         self.k = k
         self.distinct = distinct
         self.budget = budget
@@ -186,7 +175,7 @@ class _LadderSearch:
                 f"the node budget is {self.budget} (STABLEREG_LADDER_BUDGET)"
             )
         vs, ws, distinct = self.vs, self.ws, self.distinct
-        rows, cols, twins = self.rows, self.cols, self.rel._twins  # None until a call fails
+        rows, cols, twins = self.rows, self.cols, self.twins
         state = (len(vs), cand_v, cand_w, used)
         if state in self.dead:
             return False
@@ -213,13 +202,9 @@ class _LadderSearch:
                         if self.extend(next_v, next_w, used | v_bit | w_bit if distinct else 0):
                             return True
                         ws.pop()
-                        if twins is None:
-                            twins = self.rel.twins()
-                    if twins is not None:
-                        pool_w &= ~twins[w]
+                    pool_w &= ~twins[w]
                 vs.pop()
-            if twins is not None:
-                pool_v &= ~twins[v]
+            pool_v &= ~twins[v]
         self.dead.add(state)
         return False
 

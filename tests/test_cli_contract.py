@@ -324,3 +324,13 @@ def test_define_large_k_is_bounded():
     assert code in (0, 1)
     payload = json.loads(out)
     assert (payload if code == 0 else payload["defect"])["k"] == 99
+
+
+def test_group_past_order_bound_is_refused_before_its_table():
+    # a 20000 x 20000 Cayley table takes gigabytes: built before the order
+    # check, it fails under the cap with MemoryError, not with exit 3
+    tail = ["--set", "0", "--sigma", "1/4"]
+    code, expected, _ = _run(["group", "--cyclic", "130"] + tail)
+    assert code == 3
+    for source in (["--cyclic", "20000"], ["--dihedral", "10000"]):
+        assert _run(["group"] + source + tail)[:2] == (3, expected), source

@@ -252,6 +252,10 @@ def test_graph_relation_columns_are_rows():
         rel = graph_relation(g)
         assert rel.cols == transpose(g.adj, g.n)
         assert (rel.nv, rel.nw, rel.rows) == (g.n, g.n, g.adj)
+        assert rel.twins == twin_classes(g.adj)
+    # any other relation drops one element at a time, on either side
+    assert Relation(2, 3, (0b101, 0b010)).twins == (0b001, 0b010, 0b100)
+    assert Relation(3, 2, (0b01, 0b10, 0b11)).twins == (0b001, 0b010, 0b100)
 
 
 def _blow_up(rng):
@@ -324,8 +328,12 @@ def test_twin_prune_keeps_a_refutation_under_budget(monkeypatch):
     g = parse_family("perturb(clique_union(10,10,10,10),5,1)")
     rel = graph_relation(g)
     k = relation_ladder_index(rel, 8) + 1
-    monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "1000")
+    monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "193")
     assert find_relation_ladder(rel, k) is None
+    monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "192")
+    with pytest.raises(CapacityError, match="spent 193 nodes; the node budget is 192 "):
+        find_relation_ladder(rel, k)
+    monkeypatch.setenv("STABLEREG_LADDER_BUDGET", "1000")
     with pytest.raises(CapacityError, match="spent 1001 nodes; the node budget is 1000 "):
         find_relation_ladder(Relation(g.n, g.n, g.adj), k)
 
